@@ -12,7 +12,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .errors import ComoliftError, InputFormatError
+from .errors import ComoliftError
 from .filtration import Atom, FiltrationModel
 from .geometry import MAX_STAGE, Point2
 from .decomposition import decompose
@@ -150,30 +150,22 @@ def run(config: RunConfig, out=None) -> int:
         out.write(f"e2x={format_float(d.e2.x)}\ne2y={format_float(d.e2.y)}\n")
         return 0
 
-    if config.command == "lift":
-        model = ingest_atoms(config.input_path)
-        write_law_csv(lift(model), config.output_path)
-        return 0
-
-    if config.command == "sample":
+    if config.command in ("lift", "sample"):
         model = ingest_atoms(config.input_path)
         law = lift(model)
-        samples = sample_lift(model, law, config.samples, config.seed)
-        write_samples_csv(samples, config.output_path)
+        if config.command == "lift":
+            write_law_csv(law, config.output_path)
+        else:
+            write_samples_csv(sample_lift(model, law, config.samples, config.seed), config.output_path)
         return 0
 
-    if config.command == "verify":
-        model = ingest_atoms(config.input_path)
-        law = read_law_csv(config.law_path)
-        report = verify_model(model, law, config.samples, config.seed, config.tolerance)
-        write_report_kv(report, out)
-        if config.output_path:
-            write_report_csv(report, config.output_path)
-        return 0 if report.overall_pass else 1
-
-    if config.command == "demo":
-        model = _demo_model()
-        law = lift(model)
+    if config.command in ("verify", "demo"):
+        if config.command == "verify":
+            model = ingest_atoms(config.input_path)
+            law = read_law_csv(config.law_path)
+        else:
+            model = _demo_model()
+            law = lift(model)
         report = verify_model(model, law, config.samples, config.seed, config.tolerance)
         write_report_kv(report, out)
         if config.output_path:
@@ -191,13 +183,7 @@ def main(argv: list[str] | None = None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return run(config)
-    except InputFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ComoliftError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (ComoliftError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

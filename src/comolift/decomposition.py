@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .geometry import GAUGE_CAP, MAX_STAGE, Point2, gauge, scale_index, scale_index_batch
+from .geometry import GAUGE_CAP, MAX_STAGE, Point2, gauge, scale_index_batch, skew_gauge
 
 __all__ = [
     "Decomposition",
@@ -68,51 +68,31 @@ def decompose(p: Point2) -> Decomposition:
     lam is in [0, 1], hitting 0 iff p.x == 2^(n+1) and 1 iff p.x == -2^(n+1);
     lam*e1 + (1-lam)*e2 reproduces p to within a few ulp of its magnitude.
     """
-    s = p.y - 0.75 * p.x
-    g = max(abs(p.x) / 4.0, abs(s))
-    if g > GAUGE_CAP:
-        raise InvalidInputError(f"gauge {g!r} exceeds the stage cap 2^{MAX_STAGE - 1}")
-    n = scale_index(g)
-    half = math.ldexp(1.0, n - 1)
-    big = 4.0 * half
-    # |s| <= half already holds for the computed s; the clamp only pins the
-    # boundary in the face of any future arithmetic drift.
-    s = min(max(s, -half), half)
-    shift = 3.0 * half
-    e1 = Point2(-big, s - shift)
-    e2 = Point2(big, s + shift)
-    lam = (big - p.x) / (8.0 * half)
-    return Decomposition(n, lam, e1, e2)
+    n, lam, e1x, e1y, e2x, e2y = decompose_batch(p.x, p.y)
+    return Decomposition(int(n), float(lam), Point2(e1x, e1y), Point2(e2x, e2y))
 
 
 def decompose_batch(
     x: np.ndarray, y: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized :func:`decompose`, replaying the scalar op order exactly.
+    """:func:`decompose` of every point (x[i], y[i]).
 
     Returns (stage, lam, e1x, e1y, e2x, e2y) as arrays.
     """
     x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.shape != y.shape:
-        raise InvalidInputError("x and y must have the same shape")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise InvalidInputError("coordinates must be finite")
-    s = y - 0.75 * x
-    g = np.maximum(np.abs(x) / 4.0, np.abs(s))
-    if np.any(g > GAUGE_CAP):
-        raise InvalidInputError(f"gauge exceeds the stage cap 2^{MAX_STAGE - 1}")
+    s, g = skew_gauge(x, y)
+    over = np.ravel(g)[np.ravel(g) > GAUGE_CAP]
+    if over.size:
+        raise InvalidInputError(f"gauge {float(over[0])!r} exceeds the stage cap 2^{MAX_STAGE - 1}")
     n = scale_index_batch(g)
     half = np.ldexp(1.0, (n - 1).astype(np.int32))
     big = 4.0 * half
+    # |s| <= half already holds for the computed s; the clamp only pins the
+    # boundary in the face of any future arithmetic drift.
     s = np.minimum(np.maximum(s, -half), half)
     shift = 3.0 * half
-    e1x = -big
-    e1y = s - shift
-    e2x = big
-    e2y = s + shift
     lam = (big - x) / (8.0 * half)
-    return n, lam, e1x, e1y, e2x, e2y
+    return n, lam, -big, s - shift, big, s + shift
 
 
 def endpoint_norm_bound(p: Point2) -> tuple[float, float, float]:

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import InvalidEventError, InvalidInputError
 from .geometry import Point2
-from .rng import raw_words
+from .rng import uniforms
 
 __all__ = [
     "Atom",
@@ -46,15 +46,13 @@ __all__ = [
     "atomless_split",
     "sample_u",
     "sample_u_arrays",
+    "frozen_array",
 ]
 
 #: Construction-level slack on the total atom weight.  CSV ingestion
 #: renormalizes at a much looser 1e-6; after renormalization the float sum
 #: of up to ~10^5 weights lands well inside this.
 WEIGHT_SUM_TOL = 1e-12
-
-_U53 = np.float64(2.0 ** -53)
-_SHIFT11 = np.uint64(11)
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,10 +74,18 @@ class Atom:
             raise InvalidInputError(f"atom {self.id!r}: payoff must be a Point2")
 
 
-class FiltrationModel:
-    """An ordered collection of atoms whose weights sum to one."""
+def frozen_array(values, dtype=np.float64) -> np.ndarray:
+    """``values`` as a read-only array (no copy when already of ``dtype``)."""
+    arr = np.asarray(values, dtype=dtype)
+    arr.flags.writeable = False
+    return arr
 
-    __slots__ = ("atoms", "_index")
+
+class FiltrationModel:
+    """An ordered collection of atoms whose weights sum to one, with
+    read-only columns of the weights (:meth:`weights`) and payoffs ``f``, ``g``."""
+
+    __slots__ = ("atoms", "_index", "_ids", "_weights", "f", "g")
 
     def __init__(self, atoms: Sequence[Atom]) -> None:
         atoms = tuple(atoms)
@@ -92,11 +98,16 @@ class FiltrationModel:
             if atom.id in index:
                 raise InvalidInputError(f"duplicate atom id {atom.id!r}")
             index[atom.id] = i
-        total = math.fsum(a.weight for a in atoms)
+        weights = [a.weight for a in atoms]
+        total = math.fsum(weights)
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise InvalidInputError(f"atom weights must sum to 1 within {WEIGHT_SUM_TOL}, got {total!r}")
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_ids", tuple(index))
+        object.__setattr__(self, "_weights", frozen_array(weights))
+        object.__setattr__(self, "f", frozen_array([a.payoff.x for a in atoms]))
+        object.__setattr__(self, "g", frozen_array([a.payoff.y for a in atoms]))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("FiltrationModel is immutable")
@@ -108,7 +119,7 @@ class FiltrationModel:
         return iter(self.atoms)
 
     def ids(self) -> tuple[str, ...]:
-        return tuple(a.id for a in self.atoms)
+        return self._ids
 
     def atom(self, atom_id: str) -> Atom:
         try:
@@ -117,7 +128,7 @@ class FiltrationModel:
             raise InvalidInputError(f"unknown atom id {atom_id!r}") from None
 
     def weights(self) -> np.ndarray:
-        return np.array([a.weight for a in self.atoms], dtype=np.float64)
+        return self._weights
 
 
 def _normalize_intervals(atom_id: str, raw: Sequence[tuple[float, float]]) -> tuple[tuple[float, float], ...]:
@@ -275,13 +286,11 @@ def sample_u_arrays(
         raise InvalidInputError(f"count must be a nonnegative int, got {count!r}")
     if not isinstance(start, int) or start < 0:
         raise InvalidInputError(f"start must be a nonnegative int, got {start!r}")
-    words = raw_words(seed, 2 * start, 2 * count)
-    sel = (words[0::2] >> _SHIFT11).astype(np.float64) * _U53
-    u = (words[1::2] >> _SHIFT11).astype(np.float64) * _U53
+    sel, u = uniforms(seed, 2 * start, 2 * count).reshape(count, 2).T
     cum = np.cumsum(model.weights())
     cum[-1] = 1.0  # pin the top so sel < 1 always lands on a real atom
     idx = np.searchsorted(cum, sel, side="right")
-    return idx, u
+    return idx, u.copy()  # compact, so the selector half is freed with this frame
 
 
 def sample_u(model: FiltrationModel, count: int, seed: int) -> list[tuple[str, float]]:

@@ -45,6 +45,7 @@ __all__ = [
     "Point2",
     "Segment",
     "SegmentKind",
+    "skew_gauge",
     "gauge",
     "gauge_batch",
     "gauge_oracle",
@@ -53,6 +54,7 @@ __all__ = [
     "curve_segments",
     "segment_distance",
     "curve_distance",
+    "curve_distance_batch",
     "on_curve",
 ]
 
@@ -121,24 +123,30 @@ class Segment:
             raise InvalidInputError(f"segment geometry does not match kind {self.kind!r}")
 
 
-def gauge(p: Point2) -> float:
-    """Minkowski gauge of ``p`` for the unit parallelogram K.
-
-    Closed form max(|x|/4, |y - 3x/4|).  Zero exactly at the origin,
-    positively homogeneous, and symmetric under p -> -p.
-    """
-    return max(abs(p.x) / 4.0, abs(p.y - 0.75 * p.x))
-
-
-def gauge_batch(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`gauge` with the scalar path's exact op order."""
+def skew_gauge(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Skew coordinate s = y - 3x/4 and gauge max(|x|/4, |s|), elementwise."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape:
         raise InvalidInputError("x and y must have the same shape")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise InvalidInputError("coordinates must be finite")
-    return np.maximum(np.abs(x) / 4.0, np.abs(y - 0.75 * x))
+    s = y - 0.75 * x
+    return s, np.maximum(np.abs(x) / 4.0, np.abs(s))
+
+
+def gauge(p: Point2) -> float:
+    """Minkowski gauge of ``p`` for the unit parallelogram K.
+
+    Closed form max(|x|/4, |y - 3x/4|).  Zero exactly at the origin,
+    positively homogeneous, and symmetric under p -> -p.
+    """
+    return float(skew_gauge(p.x, p.y)[1])
+
+
+def gauge_batch(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """:func:`gauge` of every point (x[i], y[i])."""
+    return skew_gauge(x, y)[1]
 
 
 # Vertex hull of K, triangulated for the bisection oracle.  The oracle must
@@ -207,25 +215,11 @@ def scale_index(r: float) -> int:
     land on their own stage (scale_index(2.0) == 2) and everything in
     (2^(n-2), 2^(n-1)] shares stage n.
     """
-    r = _require_finite(r, "r")
-    if r < 0.0:
-        raise InvalidInputError(f"r must be nonnegative, got {r!r}")
-    if r > GAUGE_CAP:
-        raise InvalidInputError(f"r={r!r} exceeds the stage cap 2^{MAX_STAGE - 1}")
-    if r <= 1.0:
-        return 1
-    m, e = math.frexp(r)  # r = m * 2^e with m in [0.5, 1)
-    n = e if m == 0.5 else e + 1
-    # frexp is exact; these repairs only document the boundary convention.
-    if r > math.ldexp(1.0, n - 1):
-        n += 1
-    elif n > 1 and r <= math.ldexp(1.0, n - 2):
-        n -= 1
-    return n
+    return int(scale_index_batch(r))
 
 
 def scale_index_batch(r: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`scale_index`."""
+    """:func:`scale_index` of every element of ``r``, as int64."""
     r = np.asarray(r, dtype=np.float64)
     if not np.all(np.isfinite(r)):
         raise InvalidInputError("r must be finite")
@@ -233,13 +227,11 @@ def scale_index_batch(r: np.ndarray) -> np.ndarray:
         raise InvalidInputError("r must be nonnegative")
     if np.any(r > GAUGE_CAP):
         raise InvalidInputError(f"r exceeds the stage cap 2^{MAX_STAGE - 1}")
+    # r = m * 2^e exactly, with m in [0.5, 1): r is 2^(e-1) when m == 0.5
+    # and lies in (2^(e-1), 2^e) otherwise.  r <= 1 (and r == 0, which
+    # frexp splits as 0 * 2^0) lands on stage 1.
     m, e = np.frexp(r)
-    n = np.where(m == 0.5, e, e + 1).astype(np.int64)
-    np.maximum(n, 1, out=n)
-    n = np.where(r > np.ldexp(1.0, (n - 1).astype(np.int32)), n + 1, n)
-    shrink = (n > 1) & (r <= np.ldexp(1.0, (n - 2).astype(np.int32)))
-    n = np.where(shrink, n - 1, n)
-    return n
+    return np.maximum(np.where(m == 0.5, e, e + 1), 1).astype(np.int64)
 
 
 def _require_stage(max_stage: int) -> int:
@@ -276,37 +268,52 @@ def curve_segments(max_stage: int) -> list[Segment]:
     return segs
 
 
-def _segment_distance(px: float, py: float, seg: Segment) -> float:
-    # t -> max(|px - a.x - t*dx|, |py - a.y - t*dy|) is convex piecewise
-    # linear on [0,1]; its minimum sits at 0, 1, a per-coordinate zero, or a
-    # crossing |fx| = |fy|, so scanning those candidates is exact.
-    ax, ay = seg.a.x, seg.a.y
-    dx, dy = seg.b.x - ax, seg.b.y - ay
+def _curve_columns(max_stage: int) -> np.ndarray:
+    """Rows ax, ay, bx, by of the segments through max_stage, in walk order."""
+    return np.array([(s.a.x, s.a.y, s.b.x, s.b.y) for s in curve_segments(max_stage)]).T
+
+
+def _segment_distance(px, py, ax, ay, bx, by) -> np.ndarray:
+    """Chebyshev distance from points to segments, broadcast elementwise.
+
+    t -> max(|px - a.x - t*dx|, |py - a.y - t*dy|) is convex piecewise linear
+    on [0,1]; its minimum sits at 0, 1, a per-coordinate zero, or a crossing
+    |fx| = |fy|, so scanning those candidates, clamped to [0, 1], is exact.
+    A zero denominator gives a NaN or infinite candidate, which clamps to 0
+    or 1: a candidate already in the scan.
+    """
+    # numpy division, so a zero step yields inf or nan rather than raising
+    dx, dy = np.subtract(bx, ax), np.subtract(by, ay)
     rx, ry = px - ax, py - ay
-    cands = [0.0, 1.0]
-    if dx != 0.0:
-        cands.append(min(1.0, max(0.0, rx / dx)))
-    if dy != 0.0:
-        cands.append(min(1.0, max(0.0, ry / dy)))
-    diff = dx - dy
-    if diff != 0.0:
-        cands.append(min(1.0, max(0.0, (rx - ry) / diff)))
-    summ = dx + dy
-    if summ != 0.0:
-        cands.append(min(1.0, max(0.0, (rx + ry) / summ)))
-    return min(max(abs(rx - t * dx), abs(ry - t * dy)) for t in cands)
+    best = None
+    with np.errstate(all="ignore"):
+        for t in (0.0, 1.0, rx / dx, ry / dy, (rx - ry) / (dx - dy), (rx + ry) / (dx + dy)):
+            t = np.fmin(np.fmax(t, 0.0), 1.0)
+            dist = np.maximum(np.abs(rx - t * dx), np.abs(ry - t * dy))
+            best = dist if best is None else np.minimum(best, dist)
+    return best
 
 
 def segment_distance(p: Point2, seg: Segment) -> float:
     """Chebyshev (max-coordinate) distance from ``p`` to one segment."""
-    return _segment_distance(p.x, p.y, seg)
+    return float(_segment_distance(p.x, p.y, seg.a.x, seg.a.y, seg.b.x, seg.b.y))
 
 
 def curve_distance(p: Point2, max_stage: int) -> float:
     """Chebyshev (max-coordinate) distance from ``p`` to the staircase curve
     restricted to stages 1..max_stage."""
-    max_stage = _require_stage(max_stage)
-    return min(_segment_distance(p.x, p.y, seg) for seg in curve_segments(max_stage))
+    return float(_segment_distance(p.x, p.y, *_curve_columns(max_stage)).min())
+
+
+def curve_distance_batch(x: np.ndarray, y: np.ndarray, max_stage: int) -> np.ndarray:
+    """:func:`curve_distance` of every point (x[i], y[i]).
+
+    Loops over the curve's segments, each taken over all points at once.
+    """
+    best = np.full(np.shape(x), np.inf)
+    for seg in zip(*_curve_columns(max_stage)):
+        np.minimum(best, _segment_distance(x, y, *seg), out=best)
+    return best
 
 
 def on_curve(p: Point2, tol: float = 1e-9) -> bool:

@@ -14,6 +14,11 @@ Formats:
 * samples: sample_id,atom_id,u,xi,eta    sample_id is the draw index
 * curve:   stage,kind,ax,ay,bx,by        walk order, plus an SVG companion
 
+Every reader applies one atom-id rule (nonempty, unique, and free of ``,``,
+``"`` and line breaks, so a row never needs quoting) and names the file and
+line of the first row that breaks it; the law writer checks the same rule
+before it opens its file.
+
 Reports serialize two ways: a flat key=value text block (summary fields
 first, then per-check statistic/threshold/pass triples) and CSV rows
 ``check,statistic,threshold,pass``.
@@ -26,10 +31,12 @@ import math
 from pathlib import Path
 from typing import Iterable, Sequence, TextIO
 
+import numpy as np
+
 from .errors import InputFormatError
 from .filtration import Atom, FiltrationModel
 from .geometry import Point2, Segment, curve_segments
-from .lifting import Branches, LiftedLaw, SamplePair
+from .lifting import LiftedLaw, SamplePair
 from .verification import VerificationReport
 
 __all__ = [
@@ -75,6 +82,11 @@ def _parse_float(cell: str, path: str, line: int, field: str) -> float:
     return value
 
 
+def _csv_safe(atom_id: str) -> bool:
+    """Whether an atom id can be written into a CSV cell without quoting."""
+    return not ("," in atom_id or "\n" in atom_id or '"' in atom_id)
+
+
 def _read_rows(path: str | Path, header: list[str]) -> list[tuple[int, list[str]]]:
     path = Path(path)
     try:
@@ -99,6 +111,18 @@ def _read_rows(path: str | Path, header: list[str]) -> list[tuple[int, list[str]
     return out
 
 
+def _take_id(atom_id: str, seen: set[str], path: str, line: int) -> str:
+    """The one atom-id rule of every reader: nonempty, CSV-safe, unique."""
+    if not atom_id:
+        raise InputFormatError(f"{path}:{line}: atom_id must be nonempty")
+    if not _csv_safe(atom_id):
+        raise InputFormatError(f"{path}:{line}: atom_id {atom_id!r} is not CSV-safe")
+    if atom_id in seen:
+        raise InputFormatError(f"{path}:{line}: duplicate atom_id {atom_id!r}")
+    seen.add(atom_id)
+    return atom_id
+
+
 def ingest_atoms(path: str | Path) -> FiltrationModel:
     """Load an atoms CSV into a model.
 
@@ -109,26 +133,21 @@ def ingest_atoms(path: str | Path) -> FiltrationModel:
     rows = _read_rows(path, _ATOMS_HEADER)
     name = str(path)
     seen: set[str] = set()
-    parsed: list[tuple[int, str, float, float, float]] = []
+    parsed: list[tuple[str, float, float, float]] = []
     for line, row in rows:
-        atom_id = row[0]
-        if not atom_id:
-            raise InputFormatError(f"{name}:{line}: atom_id must be nonempty")
-        if atom_id in seen:
-            raise InputFormatError(f"{name}:{line}: duplicate atom_id {atom_id!r}")
-        seen.add(atom_id)
+        atom_id = _take_id(row[0], seen, name, line)
         weight = _parse_float(row[1], name, line, "weight")
         if weight <= 0.0:
             raise InputFormatError(f"{name}:{line}: weight must be positive, got {row[1]!r}")
         f = _parse_float(row[2], name, line, "f")
         g = _parse_float(row[3], name, line, "g")
-        parsed.append((line, atom_id, weight, f, g))
-    total = math.fsum(p[2] for p in parsed)
+        parsed.append((atom_id, weight, f, g))
+    total = math.fsum(p[1] for p in parsed)
     if abs(total - 1.0) > WEIGHT_RENORM_TOL:
         raise InputFormatError(
             f"{name}: atom weights sum to {total!r}, outside 1 +- {WEIGHT_RENORM_TOL}"
         )
-    atoms = [Atom(atom_id, weight / total, Point2(f, g)) for _, atom_id, weight, f, g in parsed]
+    atoms = [Atom(atom_id, weight / total, Point2(f, g)) for atom_id, weight, f, g in parsed]
     return FiltrationModel(atoms)
 
 
@@ -154,25 +173,28 @@ def write_law_csv(law: LiftedLaw, path: str | Path) -> None:
 
     Two-branch atoms store lambda and both points.  Single-branch atoms
     repeat their point in both slots, with lambda 1 when the point sits on a
-    negative vertical side (x < 0) and 0 otherwise.
+    negative vertical side (x < 0) and 0 otherwise.  A law that cannot be
+    written is rejected before the file is opened.
     """
+    ids = law.atom_ids()
+    for atom_id in ids:
+        if not _csv_safe(atom_id):
+            raise InputFormatError(f"atom id {atom_id!r} is not CSV-safe")
+    first, last = law.ends()
+    wide = last - first > 1
+    if np.any(wide):
+        i = int(np.argmax(wide))
+        raise InputFormatError(f"atom {ids[i]!r}: cannot serialize {last[i] - first[i] + 1} branches")
+    x, y = law.x, law.y
+    single = first == last
+    lam = np.where(single, np.where(x[first] < 0.0, 1.0, 0.0), law.prob[first])
+    columns = (lam, x[first], y[first], x[last], y[last])
     with _open_out(path) as fh:
         fh.write(",".join(_LAW_HEADER) + "\n")
-        for atom_id, branch in law.branches.items():
-            if "," in atom_id or "\n" in atom_id or '"' in atom_id:
-                raise InputFormatError(f"atom id {atom_id!r} is not CSV-safe")
-            if len(branch) == 1:
-                _, pt = branch[0]
-                lam = 1.0 if pt.x < 0.0 else 0.0
-                p1 = p2 = pt
-            elif len(branch) == 2:
-                (lam, p1), (_, p2) = branch
-            else:
-                raise InputFormatError(f"atom {atom_id!r}: cannot serialize {len(branch)} branches")
+        for atom_id, lam1, u1, v1, u2, v2 in zip(ids, *(col.tolist() for col in columns)):
             fh.write(
-                f"{atom_id},{format_float(lam)},"
-                f"{format_float(p1.x)},{format_float(p1.y)},"
-                f"{format_float(p2.x)},{format_float(p2.y)}\n"
+                f"{atom_id},{format_float(lam1)},{format_float(u1)},{format_float(v1)},"
+                f"{format_float(u2)},{format_float(v2)}\n"
             )
 
 
@@ -186,25 +208,19 @@ def read_law_csv(path: str | Path) -> LiftedLaw:
     """
     rows = _read_rows(path, _LAW_HEADER)
     name = str(path)
-    branches: dict[str, Branches] = {}
+    seen: set[str] = set()
+    ids: list[str] = []
+    values: list[list[float]] = []
     for line, row in rows:
-        atom_id = row[0]
-        if not atom_id:
-            raise InputFormatError(f"{name}:{line}: atom_id must be nonempty")
-        if atom_id in branches:
-            raise InputFormatError(f"{name}:{line}: duplicate atom_id {atom_id!r}")
-        lam = _parse_float(row[1], name, line, "lambda")
-        u1 = _parse_float(row[2], name, line, "u1")
-        v1 = _parse_float(row[3], name, line, "v1")
-        u2 = _parse_float(row[4], name, line, "u2")
-        v2 = _parse_float(row[5], name, line, "v2")
-        p1 = Point2(u1, v1)
-        p2 = Point2(u2, v2)
-        if u1 == u2 and v1 == v2 and lam in (0.0, 1.0):
-            branches[atom_id] = ((1.0, p1),)
-        else:
-            branches[atom_id] = ((lam, p1), (1.0 - lam, p2))
-    return LiftedLaw(branches)
+        ids.append(_take_id(row[0], seen, name, line))
+        values.append([_parse_float(cell, name, line, field)
+                       for cell, field in zip(row[1:], _LAW_HEADER[1:])])
+    lam, u1, v1, u2, v2 = np.array(values).T
+    single = (u1 == u2) & (v1 == v2) & ((lam == 0.0) | (lam == 1.0))
+    # A collapsed row keeps only its first point, with probability 1.
+    keep = np.column_stack((np.ones_like(single), ~single))
+    return LiftedLaw.from_pairs(ids, keep, np.column_stack((np.where(single, 1.0, lam), 1.0 - lam)),
+                                np.column_stack((u1, u2)), np.column_stack((v1, v2)))
 
 
 def write_samples_csv(samples: Sequence[SamplePair], path: str | Path) -> None:

@@ -1,10 +1,18 @@
 """Per-atom two-point laws whose conditional mean reproduces the payoffs.
 
-``lift`` decomposes every atom's payoff and stores the result as a small
-discrete law on the staircase curve: two branches (lam at e1, 1-lam at e2),
-collapsed to a single branch when lam is exactly 0 or 1.  Pooled over atoms,
-the branch points all lie on one monotone curve, so the lifted pair is
-comonotone while conditionally averaging back to the original payoffs.
+``lift`` decomposes every atom's payoff in one :func:`decompose_batch` call
+and stores the result as a small discrete law on the staircase curve: two
+branches (lam at e1, 1-lam at e2), collapsed to a single branch when lam is
+exactly 0 or 1.  Pooled over atoms, the branch points all lie on one
+monotone curve, so the lifted pair is comonotone while conditionally
+averaging back to the original payoffs.
+
+``LiftedLaw`` is columnar: flat per-branch arrays (owning atom, probability,
+x, y) with each atom's branches contiguous, plus the atom ids in law order.
+The ``(prob, Point2)`` mapping ``branches``, ``mean``, ``support_points``
+and :func:`lifted_norm_bound` are views of those columns, and the mapping is
+only built when asked for.  :func:`align_law` matches a law to a model's atom
+order; it owns the check that both hold the same atoms.
 
 ``sample_lift`` realizes the law through the model's (atom, u) stream: the
 sample emits the first branch when u <= (first branch probability), so for a
@@ -21,41 +29,50 @@ be handed to the verifier to judge.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping, NamedTuple
+from functools import cached_property
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .decomposition import decompose
+from .decomposition import decompose_batch
 from .errors import InvalidInputError
-from .filtration import FiltrationModel, sample_u_arrays
-from .geometry import Point2, gauge
+from .filtration import FiltrationModel, frozen_array, sample_u_arrays
+from .geometry import GAUGE_CAP, Point2, gauge_batch
 
 __all__ = [
     "Branches",
     "LiftedLaw",
     "SamplePair",
     "NormBoundRow",
+    "align_law",
     "lift",
+    "sample_table",
     "sample_lift",
     "sample_lift_arrays",
+    "norm_bound_columns",
     "lifted_norm_bound",
 ]
 
 Branches = tuple[tuple[float, Point2], ...]
 
 
-@dataclass(frozen=True, slots=True)
 class LiftedLaw:
-    """Per-atom discrete laws: atom id -> ((prob, point), ...)."""
+    """Per-atom discrete laws, stored as flat read-only branch columns.
 
-    branches: Mapping[str, Branches]
+    Branch k belongs to the atom at position ``owner[k]`` of
+    :meth:`atom_ids` and carries probability ``prob[k]`` at point
+    (``x[k]``, ``y[k]``).  Every atom has at least one branch and its
+    branches are contiguous, so ``owner`` is nondecreasing.
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.branches, Mapping):
+    ``LiftedLaw(branches)`` builds the columns from a mapping atom id ->
+    ((prob, point), ...); :meth:`from_pairs` from per-atom pairs of slots.
+    """
+
+    def __init__(self, branches: Mapping[str, Branches]) -> None:
+        if not isinstance(branches, Mapping):
             raise InvalidInputError("branches must map atom ids to (prob, point) tuples")
-        norm: dict[str, Branches] = {}
-        for atom_id, branch in self.branches.items():
+        rows: list[tuple[int, float, float, float]] = []
+        for i, (atom_id, branch) in enumerate(branches.items()):
             if not isinstance(atom_id, str) or not atom_id:
                 raise InvalidInputError(f"atom id must be a nonempty string, got {atom_id!r}")
             branch = tuple(branch)
@@ -67,22 +84,68 @@ class LiftedLaw:
                 prob = float(item[0])
                 if not math.isfinite(prob):
                     raise InvalidInputError(f"atom {atom_id!r}: branch probability must be finite")
-            norm[atom_id] = tuple((float(p), pt) for p, pt in branch)
-        object.__setattr__(self, "branches", norm)
+                rows.append((i, prob, item[1].x, item[1].y))
+        table = np.array(rows, dtype=np.float64).reshape(-1, 4).T
+        self._init(tuple(branches), table[0].astype(np.int64), table[1], table[2], table[3])
+
+    @classmethod
+    def from_pairs(cls, atom_ids: Sequence[str], keep: np.ndarray, prob: np.ndarray,
+                   x: np.ndarray, y: np.ndarray) -> LiftedLaw:
+        """A law from (n, 2) arrays: atom i's branches are its first and
+        second slot, (prob[i, j], (x[i, j], y[i, j])), where keep[i, j] holds.
+
+        Unchecked: every row of ``keep`` must hold at least one true slot.
+        """
+        law = cls.__new__(cls)
+        law._init(tuple(atom_ids), np.nonzero(keep)[0], prob[keep], x[keep], y[keep])
+        return law
+
+    def _init(self, atom_ids: tuple[str, ...], owner, prob, x, y) -> None:
+        self._ids = atom_ids
+        self.owner = frozen_array(owner, np.int64)
+        self.prob = frozen_array(prob)
+        self.x = frozen_array(x)
+        self.y = frozen_array(y)
 
     def atom_ids(self) -> tuple[str, ...]:
-        return tuple(self.branches)
+        return self._ids
+
+    def ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """Column index of each atom's first and last branch, in law order."""
+        counts = np.bincount(self.owner, minlength=len(self._ids))
+        last = np.cumsum(counts) - 1
+        return last - counts + 1, last
+
+    @cached_property
+    def branches(self) -> dict[str, Branches]:
+        """atom id -> ((prob, point), ...), in law order."""
+        first, last = self.ends()
+        prob, x, y = self.prob.tolist(), self.x.tolist(), self.y.tolist()
+        return {
+            atom_id: tuple((prob[k], Point2(x[k], y[k])) for k in range(a, b + 1))
+            for atom_id, a, b in zip(self._ids, first.tolist(), last.tolist())
+        }
+
+    @cached_property
+    def means(self) -> tuple[np.ndarray, np.ndarray]:
+        """Probability-weighted mean point of every atom's law, in law order."""
+        size = len(self._ids)
+        mx = np.bincount(self.owner, weights=self.prob * self.x, minlength=size)
+        my = np.bincount(self.owner, weights=self.prob * self.y, minlength=size)
+        return frozen_array(mx), frozen_array(my)
+
+    @cached_property
+    def _position(self) -> dict[str, int]:
+        return {atom_id: i for i, atom_id in enumerate(self._ids)}
 
     def mean(self, atom_id: str) -> tuple[float, float]:
         """Probability-weighted mean point of one atom's law."""
-        branch = self.branches[atom_id]
-        mx = math.fsum(p * pt.x for p, pt in branch)
-        my = math.fsum(p * pt.y for p, pt in branch)
-        return (mx, my)
+        i = self._position[atom_id]
+        return (float(self.means[0][i]), float(self.means[1][i]))
 
     def support_points(self) -> list[Point2]:
         """All branch points pooled across atoms (duplicates kept)."""
-        return [pt for branch in self.branches.values() for _, pt in branch]
+        return [Point2(x, y) for x, y in zip(self.x.tolist(), self.y.tolist())]
 
 
 class SamplePair(NamedTuple):
@@ -102,75 +165,64 @@ class NormBoundRow(NamedTuple):
     margin: float
 
 
+def align_law(model: FiltrationModel, law: LiftedLaw) -> np.ndarray:
+    """Position in the law of every model atom, in model order.
+
+    Raises unless the law and the model hold the same atom ids.
+    """
+    ids, law_ids = model.ids(), law.atom_ids()
+    if ids == law_ids:
+        return np.arange(len(ids))
+    if set(ids) != set(law_ids):
+        raise InvalidInputError(
+            f"law atoms do not match model atoms: missing {sorted(set(ids) - set(law_ids))!r}, "
+            f"extra {sorted(set(law_ids) - set(ids))!r}"
+        )
+    return np.fromiter(map(law._position.__getitem__, ids), dtype=np.int64, count=len(ids))
+
+
 def lift(model: FiltrationModel) -> LiftedLaw:
     """Decompose every atom's payoff into its two-point law.
 
     Exact-boundary weights collapse: lam == 0.0 keeps only e2, lam == 1.0
     keeps only e1, so no branch ever carries probability zero.
     """
-    out: dict[str, Branches] = {}
-    for atom in model.atoms:
-        try:
-            d = decompose(atom.payoff)
-        except InvalidInputError as exc:
-            raise InvalidInputError(f"atom {atom.id!r}: {exc}") from exc
-        if d.lam == 0.0:
-            out[atom.id] = ((1.0, d.e2),)
-        elif d.lam == 1.0:
-            out[atom.id] = ((1.0, d.e1),)
-        else:
-            out[atom.id] = ((d.lam, d.e1), (1.0 - d.lam, d.e2))
-    return LiftedLaw(out)
+    try:
+        _, lam, e1x, e1y, e2x, e2y = decompose_batch(model.f, model.g)
+    except InvalidInputError as exc:
+        bad = int(np.argmax(gauge_batch(model.f, model.g) > GAUGE_CAP))
+        raise InvalidInputError(f"atom {model.ids()[bad]!r}: {exc}") from exc
+    # The slot whose weight is exactly 0 is dropped.
+    keep = np.column_stack((lam != 0.0, lam != 1.0))
+    return LiftedLaw.from_pairs(model.ids(), keep, np.column_stack((lam, 1.0 - lam)),
+                                np.column_stack((e1x, e2x)), np.column_stack((e1y, e2y)))
 
 
-def _law_arrays(
-    model: FiltrationModel, law: LiftedLaw
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-atom sampling tables aligned with model order.
+def sample_table(model: FiltrationModel, law: LiftedLaw) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per model atom, in model order: (threshold, first, last).
 
-    Returns (threshold, p1x, p1y, p2x, p2y): the sample takes point 1 when
-    u <= threshold.  Single-branch atoms occupy both slots with threshold 1.
+    ``first`` and ``last`` index the atom's first and last branch in the law's
+    columns, and a draw takes the first branch when u <= threshold.  A
+    single-branch atom has first == last and threshold 1.
     """
-    ids = model.ids()
-    law_ids = set(law.branches)
-    if set(ids) != law_ids:
-        raise InvalidInputError(
-            f"law atoms do not match model atoms: missing {sorted(set(ids) - law_ids)!r}, "
-            f"extra {sorted(law_ids - set(ids))!r}"
-        )
-    size = len(ids)
-    thr = np.empty(size)
-    p1x = np.empty(size)
-    p1y = np.empty(size)
-    p2x = np.empty(size)
-    p2y = np.empty(size)
-    for i, atom_id in enumerate(ids):
-        branch = law.branches[atom_id]
-        if len(branch) == 1:
-            prob, pt = branch[0]
-            thr[i] = 1.0
-            p1x[i], p1y[i] = pt.x, pt.y
-            p2x[i], p2y[i] = pt.x, pt.y
-        elif len(branch) == 2:
-            (prob1, pt1), (_prob2, pt2) = branch
-            thr[i] = prob1
-            p1x[i], p1y[i] = pt1.x, pt1.y
-            p2x[i], p2y[i] = pt2.x, pt2.y
-        else:
-            raise InvalidInputError(f"atom {atom_id!r}: sampling needs 1 or 2 branches")
-    return thr, p1x, p1y, p2x, p2y
+    position = align_law(model, law)
+    first, last = (ends[position] for ends in law.ends())
+    wide = last - first > 1
+    if np.any(wide):
+        atom_id = model.ids()[int(np.argmax(wide))]
+        raise InvalidInputError(f"atom {atom_id!r}: sampling needs 1 or 2 branches")
+    return np.where(first == last, 1.0, law.prob[first]), first, last
 
 
 def sample_lift_arrays(
     model: FiltrationModel, law: LiftedLaw, count: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized sampler: (atom_index, u, xi, eta, took_first_branch)."""
-    thr, p1x, p1y, p2x, p2y = _law_arrays(model, law)
+    threshold, first, last = sample_table(model, law)
     idx, u = sample_u_arrays(model, count, seed)
-    first = u <= thr[idx]
-    xi = np.where(first, p1x[idx], p2x[idx])
-    eta = np.where(first, p1y[idx], p2y[idx])
-    return idx, u, xi, eta, first
+    took_first = u <= threshold[idx]
+    branch = np.where(took_first, first[idx], last[idx])
+    return idx, u, law.x[branch], law.y[branch], took_first
 
 
 def sample_lift(
@@ -189,19 +241,23 @@ def sample_lift(
     ]
 
 
+def norm_bound_columns(model: FiltrationModel, law: LiftedLaw) -> tuple[np.ndarray, np.ndarray]:
+    """Per model atom, in model order: worst branch gauge and its ceiling
+    max(2 * gauge(payoff), 1)."""
+    position = align_law(model, law)
+    first, _ = law.ends()
+    worst = np.maximum.reduceat(gauge_batch(law.x, law.y), first)[position]
+    return worst, np.maximum(2.0 * gauge_batch(model.f, model.g), 1.0)
+
+
 def lifted_norm_bound(model: FiltrationModel, law: LiftedLaw) -> dict[str, NormBoundRow]:
     """Audit gauge(branch point) <= max(2 * gauge(payoff), 1) per atom.
 
     The margin is bound minus the worst branch gauge; laws built by
     :func:`lift` keep it nonnegative up to float dust.
     """
-    ids = model.ids()
-    law_ids = set(law.branches)
-    if set(ids) != law_ids:
-        raise InvalidInputError("law atoms do not match model atoms")
-    out: dict[str, NormBoundRow] = {}
-    for atom in model.atoms:
-        worst = max(gauge(pt) for _, pt in law.branches[atom.id])
-        bound = max(2.0 * gauge(atom.payoff), 1.0)
-        out[atom.id] = NormBoundRow(worst, bound, bound - worst)
-    return out
+    worst, bound = norm_bound_columns(model, law)
+    return {
+        atom_id: NormBoundRow(w, b, b - w)
+        for atom_id, w, b in zip(model.ids(), worst.tolist(), bound.tolist())
+    }

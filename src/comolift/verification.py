@@ -25,6 +25,11 @@ five standard errors using the law's exact two-point moments: empirical
 per-atom means, first-branch frequencies, atom frequencies, and bit-exact
 membership of every emitted point in its atom's branch set.
 
+Every row is computed on arrays: the law's branch columns in law order (the
+pooled support keeps that order, first branch then second), and per-atom
+columns brought into model order by ``align_law``.  The curve distance loops
+over the curve's segments, each over all points at once.
+
 Relative residuals are normalized by max(1, scale): payoffs here range over
 many orders of magnitude, and below scale 1 an absolute comparison is the
 honest one.
@@ -38,19 +43,11 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .decomposition import decompose
+from .decomposition import decompose_batch
 from .errors import InvalidInputError
 from .filtration import FiltrationModel
-from .geometry import (
-    GAUGE_CAP,
-    MAX_STAGE,
-    Point2,
-    curve_segments,
-    gauge,
-    scale_index,
-    segment_distance,
-)
-from .lifting import LiftedLaw, lifted_norm_bound, sample_lift_arrays
+from .geometry import GAUGE_CAP, MAX_STAGE, Point2, curve_distance_batch, gauge_batch, scale_index_batch
+from .lifting import LiftedLaw, align_law, norm_bound_columns, sample_lift_arrays, sample_table
 from .rng import raw_words
 
 __all__ = [
@@ -103,7 +100,12 @@ class VerificationReport:
         return self.det_checks + self.mc_checks
 
 
-def _point_arrays(points: Sequence[Point2]) -> tuple[np.ndarray, np.ndarray]:
+def _point_arrays(points: Sequence[Point2], tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """A checker's points as coordinate arrays, once tol and count are valid."""
+    if not isinstance(tol, (int, float)) or not math.isfinite(tol) or tol < 0.0:
+        raise InvalidInputError(f"tol must be finite and nonnegative, got {tol!r}")
+    if len(points) == 0:
+        raise InvalidInputError("need at least one point")
     xs = np.array([p.x for p in points], dtype=np.float64)
     ys = np.array([p.y for p in points], dtype=np.float64)
     return xs, ys
@@ -127,15 +129,14 @@ def check_comonotone_pairwise(points: Sequence[Point2], tol: float = 0.0) -> tup
     """Minimum of (x - x')(y - y') over all distinct pairs, and whether it
     clears -tol.  Fewer than two points pass vacuously with statistic +inf.
     """
-    if not isinstance(tol, (int, float)) or not math.isfinite(tol) or tol < 0.0:
-        raise InvalidInputError(f"tol must be finite and nonnegative, got {tol!r}")
-    if len(points) == 0:
-        raise InvalidInputError("need at least one point")
-    if len(points) < 2:
-        return math.inf, True
-    xs, ys = _point_arrays(points)
-    worst = _pairwise_min_product(xs, ys)
+    worst = _pairwise_min_product(*_point_arrays(points, tol))
     return worst, worst >= -tol
+
+
+def _witness_min_step(xs: np.ndarray, ys: np.ndarray) -> float:
+    order = np.lexsort((ys, xs, xs + ys))
+    steps = (np.diff(xs[order]), np.diff(ys[order]))
+    return float(min(step.min(initial=math.inf) for step in steps))
 
 
 def check_comonotone_witness(points: Sequence[Point2], tol: float = 0.0) -> tuple[float, bool]:
@@ -147,45 +148,26 @@ def check_comonotone_witness(points: Sequence[Point2], tol: float = 0.0) -> tupl
     a single sorted sweep certifies every pair at once.  The y tie-break
     matters when x + y rounds to the same float for points differing only
     in y.  Returns the worst consecutive coordinate step and whether it
-    clears -tol.
+    clears -tol; fewer than two points pass vacuously with statistic +inf.
     """
-    if not isinstance(tol, (int, float)) or not math.isfinite(tol) or tol < 0.0:
-        raise InvalidInputError(f"tol must be finite and nonnegative, got {tol!r}")
-    if len(points) == 0:
-        raise InvalidInputError("need at least one point")
-    if len(points) < 2:
-        return math.inf, True
-    xs, ys = _point_arrays(points)
-    order = np.lexsort((ys, xs, xs + ys))
-    worst = float(min(np.diff(xs[order]).min(), np.diff(ys[order]).min()))
+    worst = _witness_min_step(*_point_arrays(points, tol))
     return worst, worst >= -tol
 
 
 def _law_shape_deviation(law: LiftedLaw) -> float:
-    worst = 0.0
-    for atom_id, branch in law.branches.items():
-        if len(branch) not in (1, 2):
-            return math.inf
-        probs = [p for p, _ in branch]
-        if any(not 0.0 < p <= 1.0 for p in probs):
-            return math.inf
-        worst = max(worst, abs(math.fsum(probs) - 1.0))
-    return worst
+    first, last = law.ends()
+    if np.any(last - first > 1) or np.any((law.prob <= 0.0) | (law.prob > 1.0)):
+        return math.inf
+    sums = np.bincount(law.owner, weights=law.prob, minlength=first.size)
+    return float(np.max(np.abs(sums - 1.0), initial=0.0))
 
 
 def _branch_curve_distance(law: LiftedLaw) -> float:
-    points = law.support_points()
-    top = 1
-    for pt in points:
-        g = gauge(pt)
-        # Points beyond the stage cap are off-curve by construction; scanning
-        # up to the cap still reports a huge (failing) distance for them.
-        top = MAX_STAGE if g > GAUGE_CAP else max(top, scale_index(g) + 1)
-    segs = curve_segments(min(top, MAX_STAGE))
-    worst = 0.0
-    for pt in points:
-        worst = max(worst, min(segment_distance(pt, seg) for seg in segs))
-    return worst
+    g = gauge_batch(law.x, law.y)
+    # Points beyond the stage cap are off-curve by construction; scanning up
+    # to the cap still reports a huge (failing) distance for them.
+    top = MAX_STAGE if np.any(g > GAUGE_CAP) else min(int(scale_index_batch(g).max()) + 1, MAX_STAGE)
+    return float(curve_distance_batch(law.x, law.y, top).max())
 
 
 def _subsample(xs: np.ndarray, ys: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -211,13 +193,13 @@ def verify_model(
         raise InvalidInputError(f"mc_samples must be a nonnegative int, got {mc_samples!r}")
     if not isinstance(tol, (int, float)) or not math.isfinite(tol) or tol <= 0.0:
         raise InvalidInputError(f"tol must be finite and positive, got {tol!r}")
-    ids = model.ids()
-    law_ids = set(law.branches)
-    if set(ids) != law_ids:
-        raise InvalidInputError(
-            f"law atoms do not match model atoms: missing {sorted(set(ids) - law_ids)!r}, "
-            f"extra {sorted(law_ids - set(ids))!r}"
-        )
+    position = align_law(model, law)
+    f, g = model.f, model.g
+    scale = np.maximum(1.0, gauge_batch(f, g))
+
+    def worst_gap(px: np.ndarray, py: np.ndarray) -> float:
+        gap = np.maximum(np.abs(px - f), np.abs(py - g)) / scale
+        return float(np.max(gap, initial=0.0))
 
     det: list[CheckRow] = []
 
@@ -227,98 +209,59 @@ def verify_model(
     curve_dev = _branch_curve_distance(law)
     det.append(CheckRow("branch_points_on_curve", curve_dev, tol, curve_dev <= tol))
 
-    recon_err = 0.0
-    for atom in model.atoms:
-        d = decompose(atom.payoff)
-        rx = d.lam * d.e1.x + (1.0 - d.lam) * d.e2.x
-        ry = d.lam * d.e1.y + (1.0 - d.lam) * d.e2.y
-        scale = max(1.0, gauge(atom.payoff))
-        err = max(abs(rx - atom.payoff.x), abs(ry - atom.payoff.y)) / scale
-        recon_err = max(recon_err, err)
+    _, lam, e1x, e1y, e2x, e2y = decompose_batch(f, g)
+    recon_err = worst_gap(lam * e1x + (1.0 - lam) * e2x, lam * e1y + (1.0 - lam) * e2y)
     det.append(CheckRow("decompose_reconstruction", recon_err, tol, recon_err <= tol))
 
-    mean_err = 0.0
-    for atom in model.atoms:
-        mx, my = law.mean(atom.id)
-        scale = max(1.0, gauge(atom.payoff))
-        err = max(abs(mx - atom.payoff.x), abs(my - atom.payoff.y)) / scale
-        mean_err = max(mean_err, err)
+    mx, my = (means[position] for means in law.means)
+    mean_err = worst_gap(mx, my)
     det.append(CheckRow("cond_exp_identity", mean_err, tol, mean_err <= tol))
 
     w = model.weights()
-    f = np.array([a.payoff.x for a in model.atoms])
-    g = np.array([a.payoff.y for a in model.atoms])
-    means = np.array([law.mean(a.id) for a in model.atoms])
-    lhs_f = math.fsum((w * f).tolist())
-    lhs_g = math.fsum((w * g).tolist())
-    rhs_f = math.fsum((w * means[:, 0]).tolist())
-    rhs_g = math.fsum((w * means[:, 1]).tolist())
-    tower_scale = max(
-        1.0,
-        math.fsum((w * np.abs(f)).tolist()),
-        math.fsum((w * np.abs(g)).tolist()),
+    lhs_f, lhs_g, rhs_f, rhs_g, abs_f, abs_g = (
+        math.fsum((w * v).tolist()) for v in (f, g, mx, my, np.abs(f), np.abs(g))
     )
-    tower_err = max(abs(lhs_f - rhs_f), abs(lhs_g - rhs_g)) / tower_scale
+    tower_err = max(abs(lhs_f - rhs_f), abs(lhs_g - rhs_g)) / max(1.0, abs_f, abs_g)
     det.append(CheckRow("tower_property", tower_err, tol, tower_err <= tol))
 
-    support = law.support_points()
-    xs, ys = _point_arrays(support)
-    if xs.size > PAIRWISE_FULL_SCAN_LIMIT:
-        sx, sy = _subsample(xs, ys, seed)
-        min_prod = _pairwise_min_product(sx, sy) if sx.size >= 2 else math.inf
-    else:
-        min_prod = _pairwise_min_product(xs, ys) if xs.size >= 2 else math.inf
+    xs, ys = law.x, law.y
+    sx, sy = _subsample(xs, ys, seed) if xs.size > PAIRWISE_FULL_SCAN_LIMIT else (xs, ys)
+    min_prod = _pairwise_min_product(sx, sy)
     det.append(CheckRow("comonotone_pairwise", min_prod, -tol, min_prod >= -tol))
 
-    wit_stat, _ = check_comonotone_witness(support, tol) if len(support) >= 1 else (math.inf, True)
+    wit_stat = _witness_min_step(xs, ys)
     det.append(CheckRow("comonotone_witness", wit_stat, -tol, wit_stat >= -tol))
 
-    margin = math.inf
-    for row in lifted_norm_bound(model, law).values():
-        margin = min(margin, row.margin / max(1.0, row.bound))
+    worst, bound = norm_bound_columns(model, law)
+    margin = float(np.min((bound - worst) / np.maximum(1.0, bound), initial=math.inf))
     det.append(CheckRow("norm_bound", margin, -tol, margin >= -tol))
 
-    mc: list[CheckRow] = []
-    if mc_samples > 0:
-        mc = _mc_checks(model, law, mc_samples, seed)
-
-    all_rows = det + mc
-    report = VerificationReport(
+    mc = _mc_checks(model, law, mc_samples, seed) if mc_samples > 0 else []
+    return VerificationReport(
         max_reconstruction_error=recon_err,
         cond_exp_max_residual=max(mean_err, tower_err),
         min_comonotone_product=min_prod,
         min_norm_bound_margin=margin,
         det_checks=tuple(det),
         mc_checks=tuple(mc),
-        overall_pass=all(r.passed for r in all_rows),
+        overall_pass=all(r.passed for r in det + mc),
     )
-    return report
+
+
+def _worst_z(z: np.ndarray) -> float:
+    # NaN z-scores (0/0 on atoms whose spread underflows) carry no evidence.
+    return float(np.max(z[~np.isnan(z)], initial=0.0))
 
 
 def _mc_checks(model: FiltrationModel, law: LiftedLaw, mc_samples: int, seed: int) -> list[CheckRow]:
-    ids = model.ids()
-    natoms = len(ids)
+    natoms = len(model)
     idx, _u, xi, eta, first = sample_lift_arrays(model, law, mc_samples, seed)
+    # Per model atom: first-branch probability pa (1 for a single branch),
+    # and both branch points (the same point twice for a single branch).
+    pa, b1, b2 = sample_table(model, law)
+    p1x, p1y, p2x, p2y = law.x[b1], law.y[b1], law.x[b2], law.y[b2]
 
-    # Branch tables aligned with atom order, single-branch atoms duplicated.
-    p1 = np.empty((natoms, 2))
-    p2 = np.empty((natoms, 2))
-    prob1 = np.empty(natoms)
-    two_branch = np.zeros(natoms, dtype=bool)
-    for i, atom_id in enumerate(ids):
-        branch = law.branches[atom_id]
-        if len(branch) == 1:
-            _, pt = branch[0]
-            p1[i] = p2[i] = (pt.x, pt.y)
-            prob1[i] = 1.0
-        else:
-            (pa, pta), (_pb, ptb) = branch
-            p1[i] = (pta.x, pta.y)
-            p2[i] = (ptb.x, ptb.y)
-            prob1[i] = pa
-            two_branch[i] = True
-
-    hit = ((xi == p1[idx, 0]) & (eta == p1[idx, 1])) | ((xi == p2[idx, 0]) & (eta == p2[idx, 1]))
+    hit = ((xi == p1x[idx]) & (eta == p1y[idx])) | ((xi == p2x[idx]) & (eta == p2y[idx]))
     support_bad = 1.0 - float(np.mean(hit))
 
     counts = np.bincount(idx, minlength=natoms).astype(np.float64)
@@ -326,24 +269,24 @@ def _mc_checks(model: FiltrationModel, law: LiftedLaw, mc_samples: int, seed: in
     sum_y = np.bincount(idx, weights=eta, minlength=natoms)
     firsts = np.bincount(idx, weights=first.astype(np.float64), minlength=natoms)
 
-    z_mean = 0.0
-    z_freq = 0.0
-    for i, atom_id in enumerate(ids):
-        n_a = counts[i]
-        if n_a == 0 or not two_branch[i]:
-            continue
-        mx, my = law.mean(atom_id)
-        pa = prob1[i]
-        pb = 1.0 - pa
-        var_x = pa * pb * (p1[i, 0] - p2[i, 0]) ** 2
-        var_y = pa * pb * (p1[i, 1] - p2[i, 1]) ** 2
-        emp_x = sum_x[i] / n_a
-        emp_y = sum_y[i] / n_a
-        if var_x > 0.0:
-            z_mean = max(z_mean, abs(emp_x - mx) / math.sqrt(var_x / n_a))
-        if var_y > 0.0:
-            z_mean = max(z_mean, abs(emp_y - my) / math.sqrt(var_y / n_a))
-        z_freq = max(z_freq, abs(firsts[i] / n_a - pa) / math.sqrt(pa * pb / n_a))
+    # Atoms without draws, and atoms whose branch variance pa * (1 - pa) is
+    # zero (single branches among them), carry no test.  A negative variance
+    # means pa lies outside [0, 1]: the frequency row fails outright.
+    pq = pa * (1.0 - pa)
+    seen = counts > 0.0
+    n_a = np.where(seen, counts, 1.0)
+    position = align_law(model, law)
+    mx, my = (means[position] for means in law.means)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z_mean = 0.0
+        for emp, mean, spread in ((sum_x / n_a, mx, p1x - p2x), (sum_y / n_a, my, p1y - p2y)):
+            var = pq * spread ** 2
+            tested = seen & (var > 0.0)
+            z_mean = max(z_mean, _worst_z(np.abs(emp - mean)[tested] / np.sqrt(var / n_a)[tested]))
+        tested = seen & (pq > 0.0)
+        z_freq = _worst_z(np.abs(firsts / n_a - pa)[tested] / np.sqrt(pq / n_a)[tested])
+    if np.any(seen & (pq < 0.0)):
+        z_freq = math.inf
 
     w = model.weights()
     freq = counts / float(mc_samples)

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
+import math
+import random
 import subprocess
 import sys
 
@@ -252,3 +255,155 @@ def test_module_entry_point(tmp_path):
         text=True,
     )
     assert proc.returncode == 2
+
+
+# Byte identity of every CLI output.  The digests below pin stdout and each
+# written file, as SHA-256, for a set of inputs at the edges of the formulas:
+# gauges at most 1, gauges that are exact powers of two, payoffs on a stage's
+# vertical side (x = +-2^(n+1), so lambda is exactly 0 or 1), tiny weights,
+# a gauge near the 2^1019 cap (lift and sample only: verify's curve scan
+# would reach stage 1020), a random spread of log-uniform gauges, and a law
+# file whose rows run in a different order from the atoms file.
+
+_EDGE_ATOMS = [
+    ("origin", 0.1, 0.0, 0.0),  # stage 1, lambda 1/2
+    ("inner", 0.1, 0.5, -0.25),  # gauge 0.625
+    ("unit", 0.1, 1.0, 0.75),  # gauge 0.25
+    ("pow2", 0.1, 0.0, 4.0),  # gauge exactly 4 = 2^2
+    ("pow2neg", 0.1, -32.0, -24.0),  # gauge exactly 8 = 2^3
+    ("right", 0.1, 16.0, 10.0),  # x = 2^(3+1): lambda exactly 0
+    ("left", 0.1, -16.0, -13.0),  # x = -2^(3+1): lambda exactly 1
+    ("hi", 0.1, 8.0, 8.0),  # lambda 0 on stage 2
+    ("lo", 0.1, -4.0, -4.0),  # lambda 1 on stage 1
+    ("tiny", 1e-12, 3.0, -2.0),
+    ("tinier", 1e-300, -5.0, 6.0),
+]
+_HUGE_ATOM = ("huge", 0.05, 3.0 * 2.0 ** 1019, 2.25 * 2.0 ** 1019)  # gauge 0.75 * 2^1019
+
+_CLI_DIGESTS = {
+    "lift": (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+             "8bb389e9a29a6c1f4ed750794b53f6014bf85e8fcf3f07097f5aa8def4e7e499"),
+    "sample": (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+               "8aedcd3ac704063ca01a57dda1a5b9ebe6b8271c35d8bd47245de2707cd87750"),
+    "verify": (0, "60170f216930663ec7eede60b56f9759bc67ba7d77d5cc133c2386edcac63425",
+               "845b4df333e50561dc7372142c19d5813b9ce122845b734b8960ee41bfdb546d"),
+    "verify_mc": (0, "536d5c1d80ffe1e276ca8a7f17dcd6e38e6672363f6b239d8fe8fd3b742dedef",
+                  "b839793ceeecf136afe1cb028dad40d022c4c415ffa1e0aedf45f923b240e9cd"),
+    "verify_tampered": (1, "04ce147f765b3121d631962d9978d3675584c9a2ac9fe97cce27f5ffb0fc45a4",
+                        "0f63cd012dca14b67a449942bb64e262b2168cdf6533665ab2fd54fc771a2afd"),
+    "verify_tampered_mc": (1, "4bf1fb58e94bf90c65fdea1b3b8fe8f792f2eeba245a3c3c905a621920550857",
+                           "c84b46704e9c5c4fb8c463bf505e4055a1c7200ccbc09965af7b7edc7e39e482"),
+    "demo": (0, "f1f971b20763f1694345db63652abcdade087b656c634981ff953a646f22aa13"),
+    "demo_mc": (0, "13c1634127257fd5b1d9de9c76f9f5e639ec5b8261d4fe01c2d855f5ccd78c96",
+                "3e152ce96af39346680078b7fd384c9f32364468df69750b6d87c6c1753b39cb"),
+}
+
+
+def _atoms_text(rows):
+    body = "".join(f"{a},{w!r},{x!r},{y!r}\n" for a, w, x, y in rows)
+    return "atom_id,weight,f,g\n" + body
+
+
+def _random_atoms(count, seed, mass):
+    rnd = random.Random(seed)
+    rows = []
+    for i in range(count):
+        scale = 10.0 ** rnd.uniform(-3.0, 6.0)
+        rows.append((f"r{i:03d}", rnd.uniform(0.5, 1.5),
+                     scale * rnd.uniform(-1.0, 1.0), scale * rnd.uniform(-1.0, 1.0)))
+    total = math.fsum(w for _, w, _, _ in rows)
+    return [(a, mass * w / total, x, y) for a, w, x, y in rows]
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _cli_digests(tmp_path, capsys):
+    """Exit code and digests of stdout and each output file, per invocation."""
+    atoms = tmp_path / "atoms.csv"
+    atoms.write_text(_atoms_text(_EDGE_ATOMS + _random_atoms(200, 20261018, 0.1)))
+    atoms_huge = tmp_path / "atoms_huge.csv"
+    atoms_huge.write_text(_atoms_text(_EDGE_ATOMS + _random_atoms(200, 20261018, 0.05) + [_HUGE_ATOM]))
+
+    def run(key, argv, *files):
+        code = main(argv)
+        out = capsys.readouterr().out
+        got[key] = (code, _sha(out.encode()), *(_sha(f.read_bytes()) for f in files))
+
+    got = {}
+    law_huge = tmp_path / "law_huge.csv"
+    run("lift", ["lift", "--input", str(atoms_huge), "--output", str(law_huge)], law_huge)
+    samples = tmp_path / "samples.csv"
+    run("sample", ["sample", "--input", str(atoms_huge), "--output", str(samples),
+                   "--samples", "3000", "--seed", "7"], samples)
+
+    law = tmp_path / "law.csv"
+    assert main(["lift", "--input", str(atoms), "--output", str(law)]) == 0
+    header, *body = law.read_text().splitlines()
+    shuffled = tmp_path / "law_shuffled.csv"
+    shuffled.write_text("\n".join([header] + body[::-1]) + "\n")
+    tampered = tmp_path / "law_tampered.csv"
+    tampered.write_text(shuffled.read_text())
+    bump_law_field(tampered, row=5, field=2)  # u1 of the fifth data row
+    report = tmp_path / "report.csv"
+    for key, path in (("verify", shuffled), ("verify_tampered", tampered)):
+        base = ["verify", "--input", str(atoms), "--law", str(path), "--output", str(report)]
+        run(key, base, report)
+        run(key + "_mc", base + ["--samples", "20000", "--seed", "5"], report)
+    run("demo", ["demo"])
+    run("demo_mc", ["demo", "--samples", "5000", "--output", str(report)], report)
+    return got
+
+
+def test_cli_outputs_are_byte_identical_to_pinned_digests(tmp_path, capsys):
+    got = _cli_digests(tmp_path, capsys)
+    assert got == _CLI_DIGESTS
+
+
+@pytest.mark.parametrize("lam", ["2", "-0.5"])
+def test_lambda_outside_unit_interval_fails_monte_carlo_rows(tmp_path, capsys, lam):
+    # p * (1 - p) < 0 has no standard error: the frequency row fails with an
+    # infinite statistic instead of crashing, and the whole report prints.
+    atoms = tmp_path / "atoms.csv"
+    law = tmp_path / "law.csv"
+    write_atoms_csv(random_model(50, seed=13), atoms)
+    assert main(["lift", "--input", str(atoms), "--output", str(law)]) == 0
+    lines = law.read_text().splitlines()
+    cells = lines[1].split(",")
+    cells[1] = lam
+    lines[1] = ",".join(cells)
+    law.write_text("\n".join(lines) + "\n")
+    code = main(["verify", "--input", str(atoms), "--law", str(law), "--samples", "1000"])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert out[0] == "overallPass=false"
+    assert "check.sampler_branch_freq.statistic=inf" in out
+    assert "check.sampler_branch_freq.pass=false" in out
+    assert out[-1] == "check.sampler_atom_freq.pass=true"
+
+
+@pytest.mark.parametrize("bad_id", ['"x,y"', '"x""y"'])
+def test_unsafe_atom_id_exits_3_before_writing(tmp_path, capsys, bad_id):
+    atoms = tmp_path / "atoms.csv"
+    atoms.write_text(f"atom_id,weight,f,g\na,0.5,1,2\n{bad_id},0.5,3,4\n")
+    good_atoms = tmp_path / "good.csv"
+    good_atoms.write_text("atom_id,weight,f,g\na,0.5,1,2\nb,0.5,3,4\n")
+    law = tmp_path / "law.csv"
+    assert main(["lift", "--input", str(good_atoms), "--output", str(law)]) == 0
+    bad_law = tmp_path / "bad_law.csv"
+    bad_law.write_text(law.read_text().replace("\nb,", f"\n{bad_id},"))
+    out = tmp_path / "out.csv"
+    runs = [
+        (["lift", "--input", str(atoms), "--output", str(out)], atoms),
+        (["sample", "--input", str(atoms), "--output", str(out), "--samples", "10"], atoms),
+        (["verify", "--input", str(atoms), "--law", str(law), "--output", str(out)], atoms),
+        (["verify", "--input", str(good_atoms), "--law", str(bad_law), "--output", str(out)], bad_law),
+    ]
+    for argv, culprit in runs:
+        assert main(argv) == 3, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{culprit}:3: atom_id" in captured.err
+        assert "not CSV-safe" in captured.err
+        assert not out.exists()

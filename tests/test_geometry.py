@@ -28,6 +28,7 @@ from comolift.geometry import (
     on_curve,
     scale_index,
     scale_index_batch,
+    segment_distance,
 )
 
 # (point, expected gauge): ball vertices and side midpoints sit at gauge 1,
@@ -277,3 +278,13 @@ def test_segment_validates_geometry():
         Segment(Point2(0, 0), Point2(1, 0), "horizontal", 0)
     with pytest.raises(InvalidInputError):
         Segment(Point2(0, 0), Point2(1, 0), "diagonal", 1)  # type: ignore[arg-type]
+
+
+def test_segment_distance_on_every_segment_kind():
+    # Vertical and horizontal pieces have a zero step in one coordinate.
+    for seg in curve_segments(3):
+        assert segment_distance(seg.a, seg) == 0.0
+        assert segment_distance(seg.b, seg) == 0.0
+    vertical, _, slope_half, _ = curve_segments(1)
+    assert segment_distance(Point2(-4.0, 0.0), vertical) == 2.0
+    assert segment_distance(Point2(0.0, 1.0), slope_half) == pytest.approx(2.0 / 3.0, abs=1e-15)
