@@ -87,9 +87,6 @@ def decompose_batch(
     n = scale_index_batch(g)
     half = np.ldexp(1.0, (n - 1).astype(np.int32))
     big = 4.0 * half
-    # |s| <= half already holds for the computed s; the clamp only pins the
-    # boundary in the face of any future arithmetic drift.
-    s = np.minimum(np.maximum(s, -half), half)
     shift = 3.0 * half
     lam = (big - x) / (8.0 * half)
     return n, lam, -big, s - shift, big, s + shift

@@ -242,6 +242,20 @@ def _require_stage(max_stage: int) -> int:
     return max_stage
 
 
+# Every vertex of the MAX_STAGE walk, one (x, y) row each, in walk order:
+# the negative hooks (-2^(n+1), -2^(n+1)), (-2^(n+1), -2^n) for n = MAX_STAGE
+# down to 2, the five stage-1 vertices, then the negative hooks mirrored
+# through the origin.  Segment i runs from row i to row i + 1, and the curve
+# through stage k is the middle 4k segments, from segment 2 * (MAX_STAGE - k).
+_BIG = np.ldexp(1.0, np.arange(MAX_STAGE, 1, -1) + 1)
+_HOOKS = -np.stack([_BIG, _BIG, _BIG, _BIG / 2.0], axis=1).reshape(-1, 2)
+_WALK = np.concatenate([_HOOKS, [(-4.0, -4.0), (-4.0, -2.0), (0.0, 0.0), (4.0, 2.0), (4.0, 4.0)], -_HOOKS[::-1]])
+_WALK.flags.writeable = False
+_WALK_X, _WALK_Y = _WALK.T
+# Strictly increasing along the walk; a point's x/2 + y/2 cannot overflow.
+_WALK_HALF_SUM = _WALK_X / 2.0 + _WALK_Y / 2.0
+
+
 def curve_segments(max_stage: int) -> list[Segment]:
     """Directed segments of the staircase curve through stages 1..max_stage.
 
@@ -249,28 +263,14 @@ def curve_segments(max_stage: int) -> list[Segment]:
     then the four stage-1 pieces, then the positive hooks of stages 2 up to
     max_stage.  Segment count is 4 + 4*(max_stage - 1).
     """
-    max_stage = _require_stage(max_stage)
+    first = 2 * (MAX_STAGE - _require_stage(max_stage))
+    walk = _WALK[first:first + 4 * max_stage + 1].tolist()
+    stages = [*range(max_stage, 1, -1), 1, 1, *range(2, max_stage + 1)]
     segs: list[Segment] = []
-    for n in range(max_stage, 1, -1):
-        big = math.ldexp(1.0, n + 1)
-        small = math.ldexp(1.0, n)
-        segs.append(Segment(Point2(-big, -big), Point2(-big, -small), "vertical", n))
-        segs.append(Segment(Point2(-big, -small), Point2(-small, -small), "horizontal", n))
-    segs.append(Segment(Point2(-4.0, -4.0), Point2(-4.0, -2.0), "vertical", 1))
-    segs.append(Segment(Point2(-4.0, -2.0), Point2(0.0, 0.0), "slope-half", 1))
-    segs.append(Segment(Point2(0.0, 0.0), Point2(4.0, 2.0), "slope-half", 1))
-    segs.append(Segment(Point2(4.0, 2.0), Point2(4.0, 4.0), "vertical", 1))
-    for n in range(2, max_stage + 1):
-        big = math.ldexp(1.0, n + 1)
-        small = math.ldexp(1.0, n)
-        segs.append(Segment(Point2(small, small), Point2(big, small), "horizontal", n))
-        segs.append(Segment(Point2(big, small), Point2(big, big), "vertical", n))
+    for i, ((ax, ay), (bx, by)) in enumerate(zip(walk, walk[1:])):
+        kind = "vertical" if ax == bx else "horizontal" if ay == by else "slope-half"
+        segs.append(Segment(Point2(ax, ay), Point2(bx, by), kind, stages[i // 2]))
     return segs
-
-
-def _curve_columns(max_stage: int) -> np.ndarray:
-    """Rows ax, ay, bx, by of the segments through max_stage, in walk order."""
-    return np.array([(s.a.x, s.a.y, s.b.x, s.b.y) for s in curve_segments(max_stage)]).T
 
 
 def _segment_distance(px, py, ax, ay, bx, by) -> np.ndarray:
@@ -280,13 +280,14 @@ def _segment_distance(px, py, ax, ay, bx, by) -> np.ndarray:
     on [0,1]; its minimum sits at 0, 1, a per-coordinate zero, or a crossing
     |fx| = |fy|, so scanning those candidates, clamped to [0, 1], is exact.
     A zero denominator gives a NaN or infinite candidate, which clamps to 0
-    or 1: a candidate already in the scan.
+    or 1: a candidate already in the scan.  A difference that overflows
+    becomes an infinite distance.
     """
-    # numpy division, so a zero step yields inf or nan rather than raising
-    dx, dy = np.subtract(bx, ax), np.subtract(by, ay)
-    rx, ry = px - ax, py - ay
     best = None
     with np.errstate(all="ignore"):
+        # numpy division, so a zero step yields inf or nan rather than raising
+        dx, dy = np.subtract(bx, ax), np.subtract(by, ay)
+        rx, ry = px - ax, py - ay
         for t in (0.0, 1.0, rx / dx, ry / dy, (rx - ry) / (dx - dy), (rx + ry) / (dx + dy)):
             t = np.fmin(np.fmax(t, 0.0), 1.0)
             dist = np.maximum(np.abs(rx - t * dx), np.abs(ry - t * dy))
@@ -302,26 +303,33 @@ def segment_distance(p: Point2, seg: Segment) -> float:
 def curve_distance(p: Point2, max_stage: int) -> float:
     """Chebyshev (max-coordinate) distance from ``p`` to the staircase curve
     restricted to stages 1..max_stage."""
-    return float(_segment_distance(p.x, p.y, *_curve_columns(max_stage)).min())
+    return float(curve_distance_batch(p.x, p.y, max_stage))
 
 
 def curve_distance_batch(x: np.ndarray, y: np.ndarray, max_stage: int) -> np.ndarray:
     """:func:`curve_distance` of every point (x[i], y[i]).
 
-    Loops over the curve's segments, each taken over all points at once.
+    Both coordinates of u = c - p grow as c moves along the walk, so the
+    distance max(|ux|, |uy|) equals -min(ux, uy), nonincreasing, while
+    ux + uy <= 0, and max(ux, uy), nondecreasing, after: it is reached where
+    the anti-diagonal x + y = px + py crosses the walk, or at the walk's
+    nearer end when the sum lies outside the walk's range.  Each point is
+    measured against that crossing segment, found by binary search on the
+    vertex half-sums, and its two walk neighbours, which cover ties at a
+    vertex and the rounding of the sum.
     """
-    best = np.full(np.shape(x), np.inf)
-    for seg in zip(*_curve_columns(max_stage)):
-        np.minimum(best, _segment_distance(x, y, *seg), out=best)
-    return best
+    first = 2 * (MAX_STAGE - _require_stage(max_stage))
+    x = np.asarray(x, dtype=np.float64)[..., None]
+    y = np.asarray(y, dtype=np.float64)[..., None]
+    crossing = np.searchsorted(_WALK_HALF_SUM, x / 2.0 + y / 2.0) - 1
+    i = np.clip(crossing + np.array([-1, 0, 1]), first, first + 4 * max_stage - 1)
+    return _segment_distance(x, y, _WALK_X[i], _WALK_Y[i], _WALK_X[i + 1], _WALK_Y[i + 1]).min(axis=-1)
 
 
 def on_curve(p: Point2, tol: float = 1e-9) -> bool:
     """Whether ``p`` lies within ``tol`` (Chebyshev) of the staircase curve.
 
-    The scan covers stages up to scale_index(gauge(p)) + 1, clamped at
-    MAX_STAGE, which is always enough: a point within any reasonable tol of
-    the curve only sees segments of its own stage or a neighbor.
+    Points whose gauge exceeds the stage cap are rejected.
     """
     tol = _require_finite(tol, "tol")
     if tol < 0.0:
@@ -329,5 +337,4 @@ def on_curve(p: Point2, tol: float = 1e-9) -> bool:
     g = gauge(p)
     if g > GAUGE_CAP:
         raise InvalidInputError(f"gauge {g!r} exceeds the stage cap 2^{MAX_STAGE - 1}")
-    stage = min(scale_index(g) + 1, MAX_STAGE)
-    return curve_distance(p, stage) <= tol
+    return curve_distance(p, MAX_STAGE) <= tol

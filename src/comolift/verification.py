@@ -27,8 +27,8 @@ membership of every emitted point in its atom's branch set.
 
 Every row is computed on arrays: the law's branch columns in law order (the
 pooled support keeps that order, first branch then second), and per-atom
-columns brought into model order by ``align_law``.  The curve distance loops
-over the curve's segments, each over all points at once.
+columns brought into model order by ``align_law``.  The curve distance
+measures each point against the segment its anti-diagonal crosses.
 
 Relative residuals are normalized by max(1, scale): payoffs here range over
 many orders of magnitude, and below scale 1 an absolute comparison is the
@@ -46,7 +46,7 @@ import numpy as np
 from .decomposition import decompose_batch
 from .errors import InvalidInputError
 from .filtration import FiltrationModel
-from .geometry import GAUGE_CAP, MAX_STAGE, Point2, curve_distance_batch, gauge_batch, scale_index_batch
+from .geometry import MAX_STAGE, Point2, curve_distance_batch, gauge_batch
 from .lifting import LiftedLaw, align_law, norm_bound_columns, sample_lift_arrays, sample_table
 from .rng import raw_words
 
@@ -118,10 +118,14 @@ def _pairwise_min_product(xs: np.ndarray, ys: np.ndarray) -> float:
     best = math.inf
     for lo in range(0, m, block):
         hi = min(lo + block, m)
-        prod = (xs[lo:hi, None] - xs[None, :]) * (ys[lo:hi, None] - ys[None, :])
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow keeps its sign
+            prod = (xs[lo:hi, None] - xs[None, :]) * (ys[lo:hi, None] - ys[None, :])
         rows = np.arange(hi - lo)
         prod[rows, lo + rows] = math.inf  # self-pairs carry no information
-        best = min(best, float(prod.min()))
+        low = float(prod.min())
+        if math.isnan(low):  # the only NaN, 0 * inf, is exactly 0
+            low = min(float(np.fmin.reduce(prod, axis=None)), 0.0)
+        best = min(best, low)
     return best
 
 
@@ -162,14 +166,6 @@ def _law_shape_deviation(law: LiftedLaw) -> float:
     return float(np.max(np.abs(sums - 1.0), initial=0.0))
 
 
-def _branch_curve_distance(law: LiftedLaw) -> float:
-    g = gauge_batch(law.x, law.y)
-    # Points beyond the stage cap are off-curve by construction; scanning up
-    # to the cap still reports a huge (failing) distance for them.
-    top = MAX_STAGE if np.any(g > GAUGE_CAP) else min(int(scale_index_batch(g).max()) + 1, MAX_STAGE)
-    return float(curve_distance_batch(law.x, law.y, top).max())
-
-
 def _subsample(xs: np.ndarray, ys: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:
     sel = raw_words(seed, 0, _PAIRWISE_SUBSAMPLE)
     keep = (sel % np.uint64(xs.size)).astype(np.int64)
@@ -206,7 +202,7 @@ def verify_model(
     shape_dev = _law_shape_deviation(law)
     det.append(CheckRow("law_well_formed", shape_dev, _PROB_SUM_TOL, shape_dev <= _PROB_SUM_TOL))
 
-    curve_dev = _branch_curve_distance(law)
+    curve_dev = float(curve_distance_batch(law.x, law.y, MAX_STAGE).max())
     det.append(CheckRow("branch_points_on_curve", curve_dev, tol, curve_dev <= tol))
 
     _, lam, e1x, e1y, e2x, e2y = decompose_batch(f, g)

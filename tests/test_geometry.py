@@ -8,6 +8,8 @@ arithmetic with the closed form, so agreement is evidence, not tautology.
 from __future__ import annotations
 
 import math
+import warnings
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -288,3 +290,51 @@ def test_segment_distance_on_every_segment_kind():
     vertical, _, slope_half, _ = curve_segments(1)
     assert segment_distance(Point2(-4.0, 0.0), vertical) == 2.0
     assert segment_distance(Point2(0.0, 1.0), slope_half) == pytest.approx(2.0 / 3.0, abs=1e-15)
+
+
+# Full-scan oracle for the crossing-segment kernel: the minimum of the public
+# segment_distance over every segment of the curve.  Segments are cached per
+# stage; the scan itself runs for every point.
+
+
+@lru_cache(maxsize=None)
+def _segments(max_stage: int) -> tuple:
+    return tuple(curve_segments(max_stage))
+
+
+def _full_scan(p: Point2, max_stage: int) -> float:
+    return min(segment_distance(p, seg) for seg in _segments(max_stage))
+
+
+_any_coord = st.floats(min_value=-1e308, max_value=1e308, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _near_curve(draw, max_stage: int) -> Point2:
+    segs = _segments(max_stage)
+    seg = segs[draw(st.integers(0, len(segs) - 1))]
+    t = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+    offset = draw(st.sampled_from([0.0, 1e-9, 1e-6]))
+    x = seg.a.x + t * (seg.b.x - seg.a.x)
+    y = seg.a.y + t * (seg.b.y - seg.a.y)
+    sx, sy = draw(st.sampled_from([-1, 0, 1])), draw(st.sampled_from([-1, 0, 1]))
+    return Point2(x + sx * offset * max(1.0, abs(x)), y + sy * offset * max(1.0, abs(y)))
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_curve_distance_equals_full_scan_bitwise(data):
+    k = data.draw(st.one_of(st.sampled_from([1, 2, 3, MAX_STAGE]), st.integers(1, MAX_STAGE)))
+    p = data.draw(st.one_of(st.builds(Point2, _any_coord, _any_coord), _near_curve(k)))
+    assert curve_distance(p, k) == _full_scan(p, k), (p, k)
+
+
+def test_curve_distance_at_the_float_range_edge():
+    # Differences from the outer hooks overflow; the scan must stay silent.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for x in (1.7e308, -1.7e308):
+            for y in (1.7e308, -1.7e308):
+                for k in (1, 4, MAX_STAGE):
+                    p = Point2(x, y)
+                    assert curve_distance(p, k) == _full_scan(p, k), (p, k)

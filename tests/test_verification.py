@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -67,6 +68,17 @@ def test_checkers_degenerate_inputs():
         check_comonotone_pairwise([], 0.0)
     with pytest.raises(InvalidInputError):
         check_comonotone_pairwise([Point2(0, 0), Point2(1, 1)], -1.0)
+
+
+def test_pairwise_keeps_the_sign_of_overflowed_products():
+    # (-1e308, 5) and (0, 1) form an anti-monotone pair whose product
+    # overflows to -inf; the pair (+-1e308, 5) multiplies inf by 0.
+    pts = [Point2(1e308, 5.0), Point2(-1e308, 5.0), Point2(0.0, 1.0), Point2(1.0, 0.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert check_comonotone_pairwise(pts, 0.0) == (-math.inf, False)
+        assert check_comonotone_witness(pts, 0.0) == (-4.0, False)
+        assert check_comonotone_pairwise(pts[:2], 0.0) == (0.0, True)
 
 
 # Exact dyadic grid: sums and pairwise products incur no rounding and no
@@ -285,3 +297,14 @@ def test_verify_passes_on_random_lifted_models(coords):
     m = model_of(coords)
     rep = verify_model(m, lift(m), mc_samples=0, seed=1, tol=1e-9)
     assert rep.overall_pass, [r for r in rep.rows() if not r.passed]
+
+
+def test_verify_passes_with_one_atom_near_the_float_range():
+    rng = np.random.default_rng(5)
+    coords = [tuple(v) for v in rng.uniform(-1e3, 1e3, size=(100, 2))] + [(1e300, 1e300)]
+    m = model_of(coords)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rep = verify_model(m, lift(m), mc_samples=0, seed=1, tol=1e-9)
+    assert rep.overall_pass, [r for r in rep.rows() if not r.passed]
+    assert row(rep, "branch_points_on_curve").statistic == 0.0
