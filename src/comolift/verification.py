@@ -16,8 +16,10 @@ checks, each a (statistic, threshold, pass) row.  Deterministic rows:
   sum_a w_a * payoff_a, normalized by max(1, sum w|f|, sum w|g|) because the
   aggregate itself can cancel to zero.
 * comonotone_pairwise / comonotone_witness: the pooled branch points must be
-  a comonotone set; checked both by the full pairwise product scan and by
-  the sort-based witness criterion.
+  a comonotone set; checked both by the exact minimum pairwise product over
+  every point (a sort on (x, y) and, off a chain, a divide and conquer
+  between two staircases: O(M log M)) and by the sort-based witness
+  criterion.
 * norm_bound: every branch gauge stays under max(2 * gauge(payoff), 1).
 
 Monte Carlo rows (when mc_samples > 0) replay the sampler and test it at
@@ -48,7 +50,6 @@ from .errors import InvalidInputError
 from .filtration import FiltrationModel
 from .geometry import MAX_STAGE, Point2, curve_distance_batch, gauge_batch
 from .lifting import LiftedLaw, align_law, norm_bound_columns, sample_lift_arrays, sample_table
-from .rng import raw_words
 
 __all__ = [
     "CheckRow",
@@ -59,10 +60,9 @@ __all__ = [
     "PAIRWISE_FULL_SCAN_LIMIT",
 ]
 
-#: Above this many pooled points the pairwise scan runs on a seeded
-#: subsample of this size; the witness check always sees every point.
+#: Read by no path in this package: the pairwise check always sees every
+#: point.  Kept as an exported name because the benchmark's traced run reads it.
 PAIRWISE_FULL_SCAN_LIMIT = 20_000
-_PAIRWISE_SUBSAMPLE = 10_000
 
 #: |sum of branch probabilities - 1| allowed: two rounding errors.
 _PROB_SUM_TOL = 2.0 ** -52
@@ -112,46 +112,98 @@ def _point_arrays(points: Sequence[Point2], tol: float) -> tuple[np.ndarray, np.
 
 
 def _pairwise_min_product(xs: np.ndarray, ys: np.ndarray) -> float:
-    m = xs.size
-    # ~2.5e6 cells per block keeps the temporaries around 20 MB.
-    block = max(1, 2_500_000 // m)
-    best = math.inf
-    for lo in range(0, m, block):
-        hi = min(lo + block, m)
-        with np.errstate(over="ignore", invalid="ignore"):  # overflow keeps its sign
-            prod = (xs[lo:hi, None] - xs[None, :]) * (ys[lo:hi, None] - ys[None, :])
-        rows = np.arange(hi - lo)
-        prod[rows, lo + rows] = math.inf  # self-pairs carry no information
-        low = float(prod.min())
-        if math.isnan(low):  # the only NaN, 0 * inf, is exactly 0
-            low = min(float(np.fmin.reduce(prod, axis=None)), 0.0)
-        best = min(best, low)
+    order = np.lexsort((ys, xs))
+    xs, ys = xs[order], ys[order]
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow keeps its sign
+        dx, dy = np.diff(xs), np.diff(ys)
+        if not np.any(dy < 0.0):  # a chain
+            # A zero difference makes the product 0, even against an overflowed one.
+            return float(np.where((dx == 0.0) | (dy == 0.0), 0.0, dx * dy).min(initial=math.inf))
+        return -_discordant_max(xs, ys)
+
+
+def _discordant_max(xs: np.ndarray, ys: np.ndarray) -> float:
+    # Upper-left staircase (running maxima of y in (x, y) order) against the
+    # lower-right one (running minima from the right); both run up in x and y.
+    top = ys == np.maximum.accumulate(ys)
+    bottom = ys == np.minimum.accumulate(ys[::-1])[::-1]
+    lx, ly, rx, ry = xs[top], ys[top], xs[bottom], ys[bottom]
+    # Keep the points with a discordant partner: x' > x and y' < y.
+    has_l = np.searchsorted(rx, lx, "right") < np.searchsorted(ry, ly, "left")
+    has_r = np.searchsorted(ly, ry, "right") < np.searchsorted(lx, rx, "left")
+    lx, ly, rx, ry = lx[has_l], ly[has_l], rx[has_r], ry[has_r]
+    # Row i's partners are the columns lo[i] <= j < hi[i]; both bounds and
+    # the best column never decrease with i.
+    lo = np.searchsorted(rx, lx, "right")
+    hi = np.searchsorted(ry, ly, "left")
+    # One level of the recursion at a time: node k owns rows r0[k] <= i < r1[k]
+    # and columns c0[k] <= j <= c1[k], and scores its middle row.
+    r0, r1 = np.array([0]), np.array([lx.size])
+    c0, c1 = np.array([0]), np.array([rx.size - 1])
+    best = -math.inf
+    while r0.size:
+        mid = (r0 + r1) // 2
+        start = np.maximum(c0, lo[mid])
+        count = np.minimum(c1 + 1, hi[mid]) - start
+        offset = np.cumsum(count) - count
+        j = np.arange(count.sum()) + np.repeat(start - offset, count)
+        i = np.repeat(mid, count)
+        score = (rx[j] - lx[i]) * (ly[i] - ry[j])
+        top_score = np.maximum.reduceat(score, offset)
+        best = max(best, float(top_score.max()))
+        hits = np.flatnonzero(score == np.repeat(top_score, count))
+        arg = j[hits[np.searchsorted(hits, offset)]]  # leftmost best column
+        left, right = mid > r0, mid + 1 < r1
+        r0, r1 = np.concatenate((r0[left], mid[right] + 1)), np.concatenate((mid[left], r1[right]))
+        c0, c1 = np.concatenate((c0[left], arg[right])), np.concatenate((arg[left], c1[right]))
     return best
 
 
 def check_comonotone_pairwise(points: Sequence[Point2], tol: float = 0.0) -> tuple[float, bool]:
     """Minimum of (x - x')(y - y') over all distinct pairs, and whether it
     clears -tol.  Fewer than two points pass vacuously with statistic +inf.
+
+    Every pair counts, in O(M log M).  Sort by (x, y).  If y is then
+    nondecreasing the set is a chain: both rounded differences only grow
+    between points further apart, so a consecutive pair holds the minimum.
+    Otherwise the minimum is -max (x_j - x_i)(y_i - y_j) over discordant
+    pairs (x_i < x_j, y_i > y_j).  Moving i up or left, or j down or right,
+    never lowers that product, so i ranges over the upper-left staircase and
+    j over the lower-right one, each pruned to the points that have a
+    discordant partner.  In exact arithmetic these products form a Monge
+    array, so the best partner of i never moves left as i moves right, and
+    a divide and conquer scores each row only against the columns its
+    neighbours leave open (ICPC World Finals 2017, "Money for Nothing", with
+    y negated).  Rounded products keep that order except between products
+    within a few ulps of each other.  An overflowed product keeps its sign,
+    and 0 times an overflowed difference counts as 0.
+
+    The witness check reaches the same verdict at tol = 0 on different
+    logic: it sorts by half-sums and checks coordinate steps, while this
+    check sorts by (x, y) and scores products, so a fault in one does not
+    hide in the other.
     """
     worst = _pairwise_min_product(*_point_arrays(points, tol))
     return worst, worst >= -tol
 
 
 def _witness_min_step(xs: np.ndarray, ys: np.ndarray) -> float:
-    order = np.lexsort((ys, xs, xs + ys))
-    steps = (np.diff(xs[order]), np.diff(ys[order]))
+    order = np.lexsort((ys, xs, xs / 2.0 + ys / 2.0))  # half-sums cannot overflow
+    with np.errstate(over="ignore"):  # an overflowed step keeps its sign
+        steps = (np.diff(xs[order]), np.diff(ys[order]))
     return float(min(step.min(initial=math.inf) for step in steps))
 
 
 def check_comonotone_witness(points: Sequence[Point2], tol: float = 0.0) -> tuple[float, bool]:
-    """Sort by x + y (ties by x, then y) and require both coordinates
+    """Sort by x/2 + y/2 (ties by x, then y) and require both coordinates
     nondecreasing.
 
     For tol = 0 this is equivalent to the pairwise product test: in a
-    comonotone set the sum x + y orders both coordinates simultaneously, so
-    a single sorted sweep certifies every pair at once.  The y tie-break
-    matters when x + y rounds to the same float for points differing only
-    in y.  Returns the worst consecutive coordinate step and whether it
+    comonotone set the half-sum x/2 + y/2 orders both coordinates
+    simultaneously, so a single sorted sweep certifies every pair at once.
+    Halves keep the key inside the float range, and the y tie-break matters
+    when the key rounds to the same float for points differing only in y.
+    Returns the worst consecutive coordinate step and whether it
     clears -tol; fewer than two points pass vacuously with statistic +inf.
     """
     worst = _witness_min_step(*_point_arrays(points, tol))
@@ -164,12 +216,6 @@ def _law_shape_deviation(law: LiftedLaw) -> float:
         return math.inf
     sums = np.bincount(law.owner, weights=law.prob, minlength=first.size)
     return float(np.max(np.abs(sums - 1.0), initial=0.0))
-
-
-def _subsample(xs: np.ndarray, ys: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    sel = raw_words(seed, 0, _PAIRWISE_SUBSAMPLE)
-    keep = (sel % np.uint64(xs.size)).astype(np.int64)
-    return xs[keep], ys[keep]
 
 
 def verify_model(
@@ -220,12 +266,10 @@ def verify_model(
     tower_err = max(abs(lhs_f - rhs_f), abs(lhs_g - rhs_g)) / max(1.0, abs_f, abs_g)
     det.append(CheckRow("tower_property", tower_err, tol, tower_err <= tol))
 
-    xs, ys = law.x, law.y
-    sx, sy = _subsample(xs, ys, seed) if xs.size > PAIRWISE_FULL_SCAN_LIMIT else (xs, ys)
-    min_prod = _pairwise_min_product(sx, sy)
+    min_prod = _pairwise_min_product(law.x, law.y)
     det.append(CheckRow("comonotone_pairwise", min_prod, -tol, min_prod >= -tol))
 
-    wit_stat = _witness_min_step(xs, ys)
+    wit_stat = _witness_min_step(law.x, law.y)
     det.append(CheckRow("comonotone_witness", wit_stat, -tol, wit_stat >= -tol))
 
     worst, bound = norm_bound_columns(model, law)

@@ -261,9 +261,8 @@ def test_module_entry_point(tmp_path):
 # written file, as SHA-256, for a set of inputs at the edges of the formulas:
 # gauges at most 1, gauges that are exact powers of two, payoffs on a stage's
 # vertical side (x = +-2^(n+1), so lambda is exactly 0 or 1), tiny weights,
-# a gauge near the 2^1019 cap (lift and sample only: verify's curve scan
-# would reach stage 1020), a random spread of log-uniform gauges, and a law
-# file whose rows run in a different order from the atoms file.
+# a gauge near the 2^1019 cap, a random spread of log-uniform gauges, and a
+# law file whose rows run in a different order from the atoms file.
 
 _EDGE_ATOMS = [
     ("origin", 0.1, 0.0, 0.0),  # stage 1, lambda 1/2
@@ -285,6 +284,8 @@ _CLI_DIGESTS = {
              "8bb389e9a29a6c1f4ed750794b53f6014bf85e8fcf3f07097f5aa8def4e7e499"),
     "sample": (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
                "8aedcd3ac704063ca01a57dda1a5b9ebe6b8271c35d8bd47245de2707cd87750"),
+    "verify_huge": (0, "60170f216930663ec7eede60b56f9759bc67ba7d77d5cc133c2386edcac63425",
+                    "845b4df333e50561dc7372142c19d5813b9ce122845b734b8960ee41bfdb546d"),
     "verify": (0, "60170f216930663ec7eede60b56f9759bc67ba7d77d5cc133c2386edcac63425",
                "845b4df333e50561dc7372142c19d5813b9ce122845b734b8960ee41bfdb546d"),
     "verify_mc": (0, "536d5c1d80ffe1e276ca8a7f17dcd6e38e6672363f6b239d8fe8fd3b742dedef",
@@ -337,6 +338,9 @@ def _cli_digests(tmp_path, capsys):
     samples = tmp_path / "samples.csv"
     run("sample", ["sample", "--input", str(atoms_huge), "--output", str(samples),
                    "--samples", "3000", "--seed", "7"], samples)
+    report_huge = tmp_path / "report_huge.csv"
+    run("verify_huge", ["verify", "--input", str(atoms_huge), "--law", str(law_huge),
+                        "--output", str(report_huge)], report_huge)
 
     law = tmp_path / "law.csv"
     assert main(["lift", "--input", str(atoms), "--output", str(law)]) == 0

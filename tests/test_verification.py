@@ -81,6 +81,78 @@ def test_pairwise_keeps_the_sign_of_overflowed_products():
         assert check_comonotone_pairwise(pts[:2], 0.0) == (0.0, True)
 
 
+def test_witness_keeps_the_sign_of_overflowed_steps():
+    # x + y and the steps between these points overflow; x/2 + y/2 does not.
+    chain = [Point2(-1.7e308, -1.7e308), Point2(1.7e308, 1.7e308)]
+    anti = [Point2(-1.7e308, 1.7e308), Point2(1.7e308, -1.7e308)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert check_comonotone_witness(chain, 0.0) == (math.inf, True)
+        assert check_comonotone_witness(anti, 0.0) == (-math.inf, False)
+        assert check_comonotone_pairwise(chain, 0.0) == (math.inf, True)
+        assert check_comonotone_pairwise(anti, 0.0) == (-math.inf, False)
+
+
+def _block_scan_min_product(xs: np.ndarray, ys: np.ndarray) -> float:
+    """Reference: every product (x - x')(y - y'), O(M^2), in row blocks."""
+    m = xs.size
+    block = max(1, 2_500_000 // m)
+    best = math.inf
+    for lo in range(0, m, block):
+        hi = min(lo + block, m)
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow keeps its sign
+            prod = (xs[lo:hi, None] - xs[None, :]) * (ys[lo:hi, None] - ys[None, :])
+        rows = np.arange(hi - lo)
+        prod[rows, lo + rows] = math.inf  # self-pairs carry no information
+        low = float(prod.min())
+        if math.isnan(low):  # the only NaN, 0 * inf, is exactly 0
+            low = min(float(np.fmin.reduce(prod, axis=None)), 0.0)
+        best = min(best, low)
+    return best
+
+
+_grid_points = st.lists(
+    st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=1, max_size=40
+).map(lambda c: np.array(c, dtype=np.float64).T)
+
+_edge_value = st.sampled_from([0.0, -0.0, 1.0, -1.0, 5.0, 1e-300, 1e308, -1e308, 1.7e308, -1.7e308])
+
+
+@st.composite
+def _edge_points(draw):
+    pts = np.array(draw(st.lists(st.tuples(_edge_value, _edge_value), min_size=1, max_size=12))).T
+    return np.sort(pts, axis=1) if draw(st.booleans()) else pts  # sorted coordinates: a chain
+
+
+@st.composite
+def _random_points(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(1, 150))
+    kind = draw(st.sampled_from(["cloud", "chain", "near_chain", "offset_chains", "slid"]))
+    xs, ys = rng.normal(size=n), rng.normal(size=n)
+    if kind == "chain":
+        xs, ys = np.sort(xs), np.sort(ys)
+    elif kind == "near_chain":
+        xs, ys = np.sort(xs), np.sort(ys) + 0.05 * rng.normal(size=n)
+    elif kind == "offset_chains":  # both staircases long
+        ys = np.r_[xs, xs - rng.uniform(0.1, 2.0)]
+        xs = np.r_[xs, xs]
+    elif kind == "slid":  # a lifted law with a few points slid sideways
+        law = lift(model_of([tuple(v) for v in rng.uniform(-1e3, 1e3, size=(n, 2))]))
+        xs, ys = law.x.copy(), law.y.copy()
+        picks = rng.integers(0, xs.size, 3)
+        xs[picks] += rng.choice([-1e-6, 1e-6], picks.size)
+    return xs, ys
+
+
+@given(pts=st.one_of(_grid_points, _edge_points(), _random_points()))
+@settings(max_examples=400, deadline=None)
+def test_pairwise_equals_the_block_scan(pts):
+    xs, ys = pts
+    stat, _ = check_comonotone_pairwise([Point2(x, y) for x, y in zip(xs.tolist(), ys.tolist())])
+    assert stat == _block_scan_min_product(xs, ys)  # == holds across the sign of zero
+
+
 # Exact dyadic grid: sums and pairwise products incur no rounding and no
 # underflow, so the two checkers must agree exactly (the product test goes
 # blind once a product underflows below the subnormal range, which is a
@@ -308,3 +380,26 @@ def test_verify_passes_with_one_atom_near_the_float_range():
         rep = verify_model(m, lift(m), mc_samples=0, seed=1, tol=1e-9)
     assert rep.overall_pass, [r for r in rep.rows() if not r.passed]
     assert row(rep, "branch_points_on_curve").statistic == 0.0
+
+
+def test_pairwise_row_sees_every_point_of_a_large_law():
+    # Above 20 000 pooled points the row once scored a 10 000-point subsample,
+    # which missed a single discordant point more often than not.
+    rng = np.random.default_rng(11)
+    m = model_of([tuple(v) for v in rng.uniform(-1e3, 1e3, size=(10_500, 2))])
+    law = lift(m)
+    assert law.x.size > 20_000
+    (l1, p), *rest = law.branches["m7"]
+    # Move p right past the nearest point up and to its right: every other
+    # pair stays on the curve, so only pairs with the moved point are
+    # discordant.
+    up_right = (law.x > p.x) & (law.y > p.y)
+    moved = Point2(float(law.x[up_right].min()) + 1.0, p.y)
+    bad = _tamper(law, "m7", ((l1, moved), *rest))
+    rep = verify_model(m, bad, mc_samples=0, seed=1, tol=1e-9)
+    k = int(np.flatnonzero((bad.x == moved.x) & (bad.y == moved.y))[0])
+    others = np.arange(bad.x.size) != k
+    brute = float(np.min((bad.x[others] - moved.x) * (bad.y[others] - moved.y)))
+    assert brute < -1e-9
+    assert not row(rep, "comonotone_pairwise").passed
+    assert row(rep, "comonotone_pairwise").statistic == brute
