@@ -13,7 +13,7 @@ import sys
 from dataclasses import dataclass
 
 from .errors import ComoliftError
-from .filtration import Atom, FiltrationModel
+from .filtration import FiltrationModel
 from .geometry import MAX_STAGE, Point2
 from .decomposition import decompose
 from .io import (
@@ -126,12 +126,7 @@ def parse_args(argv: list[str] | None = None) -> RunConfig:
 
 
 def _demo_model() -> FiltrationModel:
-    return FiltrationModel(
-        [
-            Atom("a", 0.5, Point2(0.0, 0.0)),
-            Atom("b", 0.5, Point2(8.0, 8.0)),
-        ]
-    )
+    return FiltrationModel.from_columns(["a", "b"], [0.5, 0.5], [0.0, 8.0], [0.0, 8.0])
 
 
 def run(config: RunConfig, out=None) -> int:

@@ -6,6 +6,8 @@ U on [0, 1] (the fine level).  Coarse-level information knows the atom; the
 fine level also knows U.  Events measurable at the fine level are stored per
 atom as disjoint unions of closed subintervals of [0, 1], and conditional
 expectations given the coarse level reduce to exact interval-length sums.
+``FiltrationModel`` stores the coarse level as four columns (atom ids,
+weights, payoffs f and g); an ``Atom`` object is a view built on demand.
 
 Two families of events matter downstream:
 
@@ -82,50 +84,71 @@ def frozen_array(values, dtype=np.float64) -> np.ndarray:
 
 
 class FiltrationModel:
-    """An ordered collection of atoms whose weights sum to one, with
-    read-only columns of the weights (:meth:`weights`) and payoffs ``f``, ``g``."""
+    """Read-only columns in atom order: :meth:`ids`, :meth:`weights` summing to
+    one, and payoffs ``f``, ``g``.  The columns are the model; ``atoms``,
+    :meth:`atom` and iteration build :class:`Atom` views from them per call."""
 
-    __slots__ = ("atoms", "_index", "_ids", "_weights", "f", "g")
+    __slots__ = ("_index", "_ids", "_weights", "f", "g")
 
     def __init__(self, atoms: Sequence[Atom]) -> None:
         atoms = tuple(atoms)
-        if not atoms:
+        if not all(isinstance(atom, Atom) for atom in atoms):
+            raise InvalidInputError("model atoms must be Atom instances")
+        self._init([a.id for a in atoms], [a.weight for a in atoms],
+                   [a.payoff.x for a in atoms], [a.payoff.y for a in atoms])
+
+    @classmethod
+    def from_columns(cls, ids: Sequence[str], weights, f, g) -> FiltrationModel:
+        """A model from its columns, under the model-level checks of
+        ``FiltrationModel(atoms)``; what :class:`Atom` checks per atom is not checked."""
+        model = cls.__new__(cls)
+        model._init(ids, weights, f, g)
+        return model
+
+    def _init(self, ids: Sequence[str], weights, f, g) -> None:
+        ids = tuple(ids)
+        if not ids:
             raise InvalidInputError("model needs at least one atom")
         index: dict[str, int] = {}
-        for i, atom in enumerate(atoms):
-            if not isinstance(atom, Atom):
-                raise InvalidInputError("model atoms must be Atom instances")
-            if atom.id in index:
-                raise InvalidInputError(f"duplicate atom id {atom.id!r}")
-            index[atom.id] = i
-        weights = [a.weight for a in atoms]
-        total = math.fsum(weights)
+        for i, atom_id in enumerate(ids):
+            if atom_id in index:
+                raise InvalidInputError(f"duplicate atom id {atom_id!r}")
+            index[atom_id] = i
+        weights, f, g = (frozen_array(column) for column in (weights, f, g))
+        if not weights.shape == f.shape == g.shape == (len(ids),):
+            raise InvalidInputError("model needs one weight, f and g per atom id")
+        total = math.fsum(weights.tolist())
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise InvalidInputError(f"atom weights must sum to 1 within {WEIGHT_SUM_TOL}, got {total!r}")
-        object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_ids", tuple(index))
-        object.__setattr__(self, "_weights", frozen_array(weights))
-        object.__setattr__(self, "f", frozen_array([a.payoff.x for a in atoms]))
-        object.__setattr__(self, "g", frozen_array([a.payoff.y for a in atoms]))
+        object.__setattr__(self, "_ids", ids)
+        object.__setattr__(self, "_weights", weights)
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "g", g)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("FiltrationModel is immutable")
 
     def __len__(self) -> int:
-        return len(self.atoms)
+        return len(self._ids)
 
     def __iter__(self) -> Iterator[Atom]:
-        return iter(self.atoms)
+        columns = zip(self._ids, self._weights.tolist(), self.f.tolist(), self.g.tolist())
+        return (Atom(atom_id, w, Point2(x, y)) for atom_id, w, x, y in columns)
+
+    @property
+    def atoms(self) -> tuple[Atom, ...]:
+        return tuple(self)
 
     def ids(self) -> tuple[str, ...]:
         return self._ids
 
     def atom(self, atom_id: str) -> Atom:
         try:
-            return self.atoms[self._index[atom_id]]
+            i = self._index[atom_id]
         except KeyError:
             raise InvalidInputError(f"unknown atom id {atom_id!r}") from None
+        return Atom(atom_id, self._weights[i], Point2(self.f[i], self.g[i]))
 
     def weights(self) -> np.ndarray:
         return self._weights
@@ -209,7 +232,7 @@ def cond_exp_indicator(model: FiltrationModel, event: EventF2) -> CondExpectatio
     Exact per-atom interval-length sums; every value lies in [0, 1].
     """
     _require_known_ids(model, event)
-    return CondExpectation({a.id: event.measure(a.id) for a in model.atoms})
+    return CondExpectation({atom_id: event.measure(atom_id) for atom_id in model.ids()})
 
 
 def b_t_event(model: FiltrationModel, t: float) -> EventF2:
@@ -224,7 +247,7 @@ def b_t_event(model: FiltrationModel, t: float) -> EventF2:
         raise InvalidInputError(f"t must be in [0, 1], got {t!r}")
     if t == 0.0:
         return EventF2({})
-    return EventF2({a.id: ((0.0, t),) for a in model.atoms})
+    return EventF2({atom_id: ((0.0, t),) for atom_id in model.ids()})
 
 
 def u_le_h_event(model: FiltrationModel, h: Mapping[str, float]) -> EventF2:

@@ -34,8 +34,8 @@ from typing import Iterable, Sequence, TextIO
 import numpy as np
 
 from .errors import InputFormatError
-from .filtration import Atom, FiltrationModel
-from .geometry import Point2, Segment, curve_segments
+from .filtration import FiltrationModel
+from .geometry import Segment, curve_segments
 from .lifting import LiftedLaw, SamplePair
 from .verification import VerificationReport
 
@@ -133,22 +133,27 @@ def ingest_atoms(path: str | Path) -> FiltrationModel:
     rows = _read_rows(path, _ATOMS_HEADER)
     name = str(path)
     seen: set[str] = set()
-    parsed: list[tuple[str, float, float, float]] = []
+    ids: list[str] = []
+    weights: list[float] = []
+    f: list[float] = []
+    g: list[float] = []
     for line, row in rows:
-        atom_id = _take_id(row[0], seen, name, line)
+        ids.append(_take_id(row[0], seen, name, line))
         weight = _parse_float(row[1], name, line, "weight")
         if weight <= 0.0:
             raise InputFormatError(f"{name}:{line}: weight must be positive, got {row[1]!r}")
-        f = _parse_float(row[2], name, line, "f")
-        g = _parse_float(row[3], name, line, "g")
-        parsed.append((atom_id, weight, f, g))
-    total = math.fsum(p[1] for p in parsed)
+        weights.append(weight)
+        f.append(_parse_float(row[2], name, line, "f"))
+        g.append(_parse_float(row[3], name, line, "g"))
+    try:
+        total = math.fsum(weights)
+    except OverflowError:  # finite weights whose sum passes the float range
+        total = math.inf
     if abs(total - 1.0) > WEIGHT_RENORM_TOL:
         raise InputFormatError(
             f"{name}: atom weights sum to {total!r}, outside 1 +- {WEIGHT_RENORM_TOL}"
         )
-    atoms = [Atom(atom_id, weight / total, Point2(f, g)) for atom_id, weight, f, g in parsed]
-    return FiltrationModel(atoms)
+    return FiltrationModel.from_columns(ids, np.array(weights) / total, f, g)
 
 
 def _open_out(path: str | Path) -> TextIO:
@@ -159,13 +164,11 @@ def _open_out(path: str | Path) -> TextIO:
 
 
 def write_atoms_csv(model: FiltrationModel, path: str | Path) -> None:
+    columns = (model.weights(), model.f, model.g)
     with _open_out(path) as fh:
         fh.write(",".join(_ATOMS_HEADER) + "\n")
-        for atom in model.atoms:
-            fh.write(
-                f"{atom.id},{format_float(atom.weight)},"
-                f"{format_float(atom.payoff.x)},{format_float(atom.payoff.y)}\n"
-            )
+        for atom_id, w, f, g in zip(model.ids(), *(col.tolist() for col in columns)):
+            fh.write(f"{atom_id},{format_float(w)},{format_float(f)},{format_float(g)}\n")
 
 
 def write_law_csv(law: LiftedLaw, path: str | Path) -> None:

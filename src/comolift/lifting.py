@@ -130,8 +130,9 @@ class LiftedLaw:
     def means(self) -> tuple[np.ndarray, np.ndarray]:
         """Probability-weighted mean point of every atom's law, in law order."""
         size = len(self._ids)
-        mx = np.bincount(self.owner, weights=self.prob * self.x, minlength=size)
-        my = np.bincount(self.owner, weights=self.prob * self.y, minlength=size)
+        with np.errstate(over="ignore"):  # an overflowed mean is infinite, for the verifier to judge
+            mx = np.bincount(self.owner, weights=self.prob * self.x, minlength=size)
+            my = np.bincount(self.owner, weights=self.prob * self.y, minlength=size)
         return frozen_array(mx), frozen_array(my)
 
     @cached_property

@@ -260,10 +260,12 @@ def verify_model(
     det.append(CheckRow("cond_exp_identity", mean_err, tol, mean_err <= tol))
 
     w = model.weights()
-    lhs_f, lhs_g, rhs_f, rhs_g, abs_f, abs_g = (
-        math.fsum((w * v).tolist()) for v in (f, g, mx, my, np.abs(f), np.abs(g))
-    )
-    tower_err = max(abs(lhs_f - rhs_f), abs(lhs_g - rhs_g)) / max(1.0, abs_f, abs_g)
+    tower_err = math.inf  # an infinite or NaN mean, which fsum cannot total
+    if np.isfinite(mx).all() and np.isfinite(my).all():
+        lhs_f, lhs_g, rhs_f, rhs_g, abs_f, abs_g = (
+            math.fsum((w * v).tolist()) for v in (f, g, mx, my, np.abs(f), np.abs(g))
+        )
+        tower_err = max(abs(lhs_f - rhs_f), abs(lhs_g - rhs_g)) / max(1.0, abs_f, abs_g)
     det.append(CheckRow("tower_property", tower_err, tol, tower_err <= tol))
 
     min_prod = _pairwise_min_product(law.x, law.y)
@@ -317,7 +319,7 @@ def _mc_checks(model: FiltrationModel, law: LiftedLaw, mc_samples: int, seed: in
     n_a = np.where(seen, counts, 1.0)
     position = align_law(model, law)
     mx, my = (means[position] for means in law.means)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # an overflowed spread is inf
         z_mean = 0.0
         for emp, mean, spread in ((sum_x / n_a, mx, p1x - p2x), (sum_y / n_a, my, p1y - p2y)):
             var = pq * spread ** 2

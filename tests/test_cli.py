@@ -411,3 +411,58 @@ def test_unsafe_atom_id_exits_3_before_writing(tmp_path, capsys, bad_id):
         assert f"{culprit}:3: atom_id" in captured.err
         assert "not CSV-safe" in captured.err
         assert not out.exists()
+
+
+def test_no_cli_path_builds_atom_objects(tmp_path, capsys, monkeypatch):
+    # The model is its columns: lift, sample, verify (with and without
+    # --samples) and demo never build an Atom view, and their bytes do not move.
+    def refuse(self):
+        raise AssertionError("a CLI path built an Atom object")
+
+    monkeypatch.setattr(Atom, "__post_init__", refuse)
+    assert _cli_digests(tmp_path, capsys) == _CLI_DIGESTS
+
+
+def test_weight_sum_past_float_range_exits_3(tmp_path, capsys):
+    atoms = tmp_path / "atoms.csv"
+    atoms.write_text("atom_id,weight,f,g\na,1e308,0,0\nb,1e308,1,1\n")
+    law = tmp_path / "law.csv"
+    assert main(["lift", "--input", str(atoms), "--output", str(law)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {atoms}: atom weights sum to inf, outside 1 +- 1e-06" in captured.err
+    assert not law.exists()
+
+
+def test_infinite_law_mean_fails_tower_row(tmp_path, capsys):
+    # lambda 2 at x = +-1e308 puts each atom's law mean at +-inf: the tower
+    # row reports inf and fails, and the whole report still prints.
+    atoms = tmp_path / "atoms.csv"
+    atoms.write_text("atom_id,weight,f,g\na,0.5,0,0\nb,0.5,1,1\n")
+    law = tmp_path / "law.csv"
+    law.write_text("atom_id,lambda,u1,v1,u2,v2\na,2,1e308,0,0,0\nb,2,-1e308,0,0,0\n")
+    code = main(["verify", "--input", str(atoms), "--law", str(law)])
+    captured = capsys.readouterr()
+    out = captured.out.splitlines()
+    assert code == 1
+    assert captured.err == ""
+    assert out[0] == "overallPass=false"
+    assert "check.tower_property.statistic=inf" in out
+    assert "check.tower_property.pass=false" in out
+    assert out[-1] == "check.norm_bound.pass=false"
+
+
+def test_monte_carlo_rows_stay_quiet_on_overflowing_spread(tmp_path, capsys):
+    # Branch points at x = -+1e308 have a spread past the float range; the
+    # Monte Carlo rows take it as inf without a RuntimeWarning.
+    atoms = tmp_path / "atoms.csv"
+    atoms.write_text("atom_id,weight,f,g\na,0.5,0,0\nb,0.5,1,1\n")
+    law = tmp_path / "law.csv"
+    law.write_text("atom_id,lambda,u1,v1,u2,v2\na,0.5,-1e308,0,1e308,0\nb,0.5,-1e308,0,1e308,0\n")
+    code = main(["verify", "--input", str(atoms), "--law", str(law), "--samples", "100"])
+    captured = capsys.readouterr()
+    out = captured.out.splitlines()
+    assert code == 1
+    assert captured.err == ""
+    assert "check.sampler_mean.statistic=0" in out
+    assert out[-1] == "check.sampler_atom_freq.pass=true"

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from comolift.errors import InvalidEventError, InvalidInputError
 from comolift.filtration import (
+    WEIGHT_SUM_TOL,
     Atom,
     EventF2,
     FiltrationModel,
@@ -44,6 +45,20 @@ def test_model_validation():
         Atom("a", -0.1, Point2(0, 0))
     with pytest.raises(InvalidInputError):
         Atom("", 0.5, Point2(0, 0))
+
+
+def test_from_columns_runs_the_model_checks():
+    with pytest.raises(InvalidInputError, match="at least one atom"):
+        FiltrationModel.from_columns([], [], [], [])
+    with pytest.raises(InvalidInputError, match="duplicate atom id 'a'"):
+        FiltrationModel.from_columns(["a", "b", "a"], [0.25, 0.5, 0.25], [0, 1, 2], [0, 1, 2])
+    with pytest.raises(InvalidInputError, match="one weight, f and g per atom id"):
+        FiltrationModel.from_columns(["a", "b"], [0.5, 0.5], [0, 1], [0])
+    off = 0.5 + 2.0 * WEIGHT_SUM_TOL
+    with pytest.raises(InvalidInputError, match="sum to 1"):
+        FiltrationModel.from_columns(["a", "b"], [0.5, off], [0, 1], [0, 1])
+    near = FiltrationModel.from_columns(["a", "b"], [0.5, 0.5 + WEIGHT_SUM_TOL / 2.0], [0, 1], [0, 1])
+    assert near.ids() == ("a", "b")
 
 
 def test_model_is_immutable_and_indexable():

@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import math
+import string
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from comolift.errors import InputFormatError
 from comolift.filtration import Atom, FiltrationModel
@@ -108,6 +112,61 @@ def test_atoms_round_trip(tmp_path):
     for a, b in zip(m.atoms, again.atoms):
         assert (a.id, a.weight) == (b.id, b.weight)
         assert a.payoff == b.payoff
+
+
+_ID_CHARS = string.ascii_letters + string.digits + "_-.:;!?#$%&()[]{}<>=+*/\\|@^~'`"
+_payoff = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def model_columns(draw):
+    """Ids, dyadic weights that sum to exactly 1, and payoffs over the whole float range."""
+    counts = draw(st.lists(st.integers(1, 1000), min_size=1, max_size=30))
+    scale = 1 << max(sum(counts) - 1, 1).bit_length()
+    if scale > sum(counts):
+        counts.append(scale - sum(counts))
+    n = len(counts)
+    ids = draw(st.lists(st.text(_ID_CHARS, min_size=1, max_size=6), min_size=n, max_size=n, unique=True))
+    f = draw(st.lists(_payoff, min_size=n, max_size=n))
+    g = draw(st.lists(_payoff, min_size=n, max_size=n))
+    return ids, [c / scale for c in counts], f, g
+
+
+@given(columns=model_columns())
+@settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_model_constructors_and_atoms_file_agree(tmp_path, columns):
+    ids, weights, f, g = columns
+    atoms = [Atom(i, w, Point2(x, y)) for i, w, x, y in zip(ids, weights, f, g)]
+    by_atoms = FiltrationModel(atoms)
+    by_columns = FiltrationModel.from_columns(ids, weights, f, g)
+    for m in (by_atoms, by_columns):
+        assert m.ids() == tuple(ids)
+        assert m.weights().tobytes() == np.array(weights).tobytes()
+        assert (m.f.tobytes(), m.g.tobytes()) == (np.array(f).tobytes(), np.array(g).tobytes())
+        assert m.atoms == tuple(atoms) == tuple(m)
+        assert m.atom(ids[-1]) == atoms[-1]
+    p = tmp_path / "atoms.csv"
+    write_atoms_csv(by_columns, p)
+    again = ingest_atoms(p)
+    assert again.ids() == by_columns.ids()
+    # Weights summing to exactly 1 survive renormalization bit for bit; a
+    # payoff of -0.0 comes back as 0, as format_float writes it.
+    assert again.weights().tobytes() == by_columns.weights().tobytes()
+    assert again.f.tolist() == f and again.g.tolist() == g
+
+
+def test_ingested_model_is_immutable(tmp_path):
+    p = tmp_path / "atoms.csv"
+    p.write_text("atom_id,weight,f,g\na,0.5,0,0\nb,0.5,8,8\n")
+    m = ingest_atoms(p)
+    with pytest.raises(AttributeError):
+        m.atoms = ()
+    with pytest.raises(AttributeError):
+        m.f = m.g
+    for column in (m.weights(), m.f, m.g):
+        with pytest.raises(ValueError):
+            column[0] = 1.0
+    assert m.atoms == (Atom("a", 0.5, Point2(0.0, 0.0)), Atom("b", 0.5, Point2(8.0, 8.0)))
 
 
 def test_law_round_trip_bitwise(tmp_path):
