@@ -34,7 +34,7 @@ from .filtration import (
     sample_u,
     u_le_h_event,
 )
-from .lifting import LiftedLaw, SamplePair, lift, lifted_norm_bound, sample_lift
+from .lifting import LiftedLaw, SamplePair, Samples, lift, lifted_norm_bound, sample_lift
 from .verification import (
     CheckRow,
     VerificationReport,
@@ -75,6 +75,7 @@ __all__ = [
     "sample_u",
     "LiftedLaw",
     "SamplePair",
+    "Samples",
     "lift",
     "sample_lift",
     "lifted_norm_bound",

@@ -99,10 +99,10 @@ class FiltrationModel:
 
     @classmethod
     def from_columns(cls, ids: Sequence[str], weights, f, g) -> FiltrationModel:
-        """A model from its columns, under the model-level checks of
+        """A model from copies of its columns, under the model-level checks of
         ``FiltrationModel(atoms)``; what :class:`Atom` checks per atom is not checked."""
         model = cls.__new__(cls)
-        model._init(ids, weights, f, g)
+        model._init(ids, *(np.array(column, dtype=np.float64) for column in (weights, f, g)))
         return model
 
     def _init(self, ids: Sequence[str], weights, f, g) -> None:

@@ -16,8 +16,8 @@ Formats:
 
 Every reader applies one atom-id rule (nonempty, unique, and free of ``,``,
 ``"`` and line breaks, so a row never needs quoting) and names the file and
-line of the first row that breaks it; the law writer checks the same rule
-before it opens its file.
+line of the first row that breaks it; every atom-keyed writer checks the
+same rule before it opens its file.  One table writer lays out every CSV row.
 
 Reports serialize two ways: a flat key=value text block (summary fields
 first, then per-check statistic/threshold/pass triples) and CSV rows
@@ -36,7 +36,7 @@ import numpy as np
 from .errors import InputFormatError
 from .filtration import FiltrationModel
 from .geometry import Segment, curve_segments
-from .lifting import LiftedLaw, SamplePair
+from .lifting import LiftedLaw, Samples
 from .verification import VerificationReport
 
 __all__ = [
@@ -61,6 +61,8 @@ _ATOMS_HEADER = ["atom_id", "weight", "f", "g"]
 _LAW_HEADER = ["atom_id", "lambda", "u1", "v1", "u2", "v2"]
 _SAMPLES_HEADER = ["sample_id", "atom_id", "u", "xi", "eta"]
 _CURVE_HEADER = ["stage", "kind", "ax", "ay", "bx", "by"]
+#: Rows formatted and written per slice by the table writer; the bytes do not depend on it.
+_WRITE_ROWS = 4096
 
 
 def format_float(value: float) -> str:
@@ -85,6 +87,13 @@ def _parse_float(cell: str, path: str, line: int, field: str) -> float:
 def _csv_safe(atom_id: str) -> bool:
     """Whether an atom id can be written into a CSV cell without quoting."""
     return not ("," in atom_id or "\n" in atom_id or '"' in atom_id)
+
+
+def _require_csv_safe(ids: Iterable[str]) -> None:
+    """The writers' half of the atom-id rule, run before a file is opened."""
+    for atom_id in ids:
+        if not _csv_safe(atom_id):
+            raise InputFormatError(f"atom id {atom_id!r} is not CSV-safe")
 
 
 def _read_rows(path: str | Path, header: list[str]) -> list[tuple[int, list[str]]]:
@@ -130,14 +139,13 @@ def ingest_atoms(path: str | Path) -> FiltrationModel:
     in-tolerance drift is renormalized away, anything worse is rejected.
     Errors carry the file name and line number.
     """
-    rows = _read_rows(path, _ATOMS_HEADER)
     name = str(path)
     seen: set[str] = set()
     ids: list[str] = []
     weights: list[float] = []
     f: list[float] = []
     g: list[float] = []
-    for line, row in rows:
+    for line, row in _read_rows(path, _ATOMS_HEADER):  # unnamed: the rows are freed before the arrays exist
         ids.append(_take_id(row[0], seen, name, line))
         weight = _parse_float(row[1], name, line, "weight")
         if weight <= 0.0:
@@ -163,12 +171,22 @@ def _open_out(path: str | Path) -> TextIO:
         raise InputFormatError(f"cannot write {path}: {exc}") from exc
 
 
-def write_atoms_csv(model: FiltrationModel, path: str | Path) -> None:
-    columns = (model.weights(), model.f, model.g)
+def _write_csv(path: str | Path, header: list[str], *columns: Sequence) -> None:
+    """The one row layout of every CSV table: row k holds item k of each column,
+    a float array's through :func:`format_float`, any other's through ``str``."""
     with _open_out(path) as fh:
-        fh.write(",".join(_ATOMS_HEADER) + "\n")
-        for atom_id, w, f, g in zip(model.ids(), *(col.tolist() for col in columns)):
-            fh.write(f"{atom_id},{format_float(w)},{format_float(f)},{format_float(g)}\n")
+        fh.write(",".join(header) + "\n")
+        for lo in range(0, len(columns[0]), _WRITE_ROWS):
+            parts = [column[lo:lo + _WRITE_ROWS] for column in columns]
+            cells = [map(format_float, part.tolist())
+                     if isinstance(part, np.ndarray) and part.dtype == np.float64 else map(str, part)
+                     for part in parts]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
+def write_atoms_csv(model: FiltrationModel, path: str | Path) -> None:
+    _require_csv_safe(model.ids())
+    _write_csv(path, _ATOMS_HEADER, model.ids(), model.weights(), model.f, model.g)
 
 
 def write_law_csv(law: LiftedLaw, path: str | Path) -> None:
@@ -180,9 +198,7 @@ def write_law_csv(law: LiftedLaw, path: str | Path) -> None:
     written is rejected before the file is opened.
     """
     ids = law.atom_ids()
-    for atom_id in ids:
-        if not _csv_safe(atom_id):
-            raise InputFormatError(f"atom id {atom_id!r} is not CSV-safe")
+    _require_csv_safe(ids)
     first, last = law.ends()
     wide = last - first > 1
     if np.any(wide):
@@ -191,14 +207,7 @@ def write_law_csv(law: LiftedLaw, path: str | Path) -> None:
     x, y = law.x, law.y
     single = first == last
     lam = np.where(single, np.where(x[first] < 0.0, 1.0, 0.0), law.prob[first])
-    columns = (lam, x[first], y[first], x[last], y[last])
-    with _open_out(path) as fh:
-        fh.write(",".join(_LAW_HEADER) + "\n")
-        for atom_id, lam1, u1, v1, u2, v2 in zip(ids, *(col.tolist() for col in columns)):
-            fh.write(
-                f"{atom_id},{format_float(lam1)},{format_float(u1)},{format_float(v1)},"
-                f"{format_float(u2)},{format_float(v2)}\n"
-            )
+    _write_csv(path, _LAW_HEADER, ids, lam, x[first], y[first], x[last], y[last])
 
 
 def read_law_csv(path: str | Path) -> LiftedLaw:
@@ -226,14 +235,10 @@ def read_law_csv(path: str | Path) -> LiftedLaw:
                                 np.column_stack((u1, u2)), np.column_stack((v1, v2)))
 
 
-def write_samples_csv(samples: Sequence[SamplePair], path: str | Path) -> None:
-    with _open_out(path) as fh:
-        fh.write(",".join(_SAMPLES_HEADER) + "\n")
-        for i, s in enumerate(samples):
-            fh.write(
-                f"{i},{s.atom_id},{format_float(s.u)},"
-                f"{format_float(s.xi)},{format_float(s.eta)}\n"
-            )
+def write_samples_csv(samples: Samples, path: str | Path) -> None:
+    _require_csv_safe(samples.ids)
+    atom_ids = np.array(samples.ids, dtype=object)[samples.idx]
+    _write_csv(path, _SAMPLES_HEADER, range(len(samples)), atom_ids, samples.u, samples.xi, samples.eta)
 
 
 def _svg_path(points: Iterable[tuple[float, float]]) -> str:
@@ -276,14 +281,8 @@ def export_curve(max_stage: int, path: str | Path) -> None:
     """
     segments = curve_segments(max_stage)
     path = Path(path)
-    with _open_out(path) as fh:
-        fh.write(",".join(_CURVE_HEADER) + "\n")
-        for seg in segments:
-            fh.write(
-                f"{seg.stage},{seg.kind},"
-                f"{format_float(seg.a.x)},{format_float(seg.a.y)},"
-                f"{format_float(seg.b.x)},{format_float(seg.b.y)}\n"
-            )
+    ends = np.array([(*seg.a.as_tuple(), *seg.b.as_tuple()) for seg in segments]).T
+    _write_csv(path, _CURVE_HEADER, [seg.stage for seg in segments], [seg.kind for seg in segments], *ends)
     svg_path = path.with_suffix(".svg")
     with _open_out(svg_path) as fh:
         fh.write(_curve_svg(segments, max_stage))

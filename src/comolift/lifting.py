@@ -43,6 +43,7 @@ __all__ = [
     "Branches",
     "LiftedLaw",
     "SamplePair",
+    "Samples",
     "NormBoundRow",
     "align_law",
     "lift",
@@ -158,6 +159,22 @@ class SamplePair(NamedTuple):
     eta: float
 
 
+class Samples(Sequence[SamplePair]):
+    """Draws as read-only columns: draw k is atom ``ids[idx[k]]`` at ``u[k]``,
+    emitting (``xi[k]``, ``eta[k]``).  An int index, negative too, or iteration
+    builds :class:`SamplePair` views; a slice raises ``TypeError``, so slice the columns."""
+
+    def __init__(self, ids: tuple[str, ...], idx, u, xi, eta) -> None:
+        self.ids = ids
+        self.idx, self.u, self.xi, self.eta = (frozen_array(c, c.dtype) for c in (idx, u, xi, eta))
+
+    def __len__(self) -> int:
+        return len(self.u)
+
+    def __getitem__(self, k: int) -> SamplePair:
+        return SamplePair(self.ids[self.idx[k]], float(self.u[k]), float(self.xi[k]), float(self.eta[k]))
+
+
 class NormBoundRow(NamedTuple):
     """Norm-bound audit for one atom: worst branch gauge vs. its ceiling."""
 
@@ -226,20 +243,14 @@ def sample_lift_arrays(
     return idx, u, law.x[branch], law.y[branch], took_first
 
 
-def sample_lift(
-    model: FiltrationModel, law: LiftedLaw, count: int, seed: int
-) -> list[SamplePair]:
+def sample_lift(model: FiltrationModel, law: LiftedLaw, count: int, seed: int) -> Samples:
     """Draw ``count`` comonotone sample pairs from the lifted law.
 
     Every emitted (xi, eta) is bit-identical to one of its atom's branch
     points; the (atom, u) stream matches ``sample_u`` for the same seed.
     """
     idx, u, xi, eta, _ = sample_lift_arrays(model, law, count, seed)
-    ids = model.ids()
-    return [
-        SamplePair(ids[i], float(uv), float(xv), float(yv))
-        for i, uv, xv, yv in zip(idx.tolist(), u.tolist(), xi.tolist(), eta.tolist())
-    ]
+    return Samples(model.ids(), idx, u, xi, eta)
 
 
 def norm_bound_columns(model: FiltrationModel, law: LiftedLaw) -> tuple[np.ndarray, np.ndarray]:

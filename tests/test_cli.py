@@ -12,10 +12,12 @@ import sys
 import numpy as np
 import pytest
 
+from comolift import io as comolift_io
 from comolift.cli import RunConfig, main, parse_args, run
 from comolift.filtration import Atom, FiltrationModel
 from comolift.geometry import MAX_STAGE, Point2
 from comolift.io import write_atoms_csv
+from comolift.lifting import SamplePair
 
 
 def random_model(n, seed):
@@ -420,6 +422,24 @@ def test_no_cli_path_builds_atom_objects(tmp_path, capsys, monkeypatch):
         raise AssertionError("a CLI path built an Atom object")
 
     monkeypatch.setattr(Atom, "__post_init__", refuse)
+    assert _cli_digests(tmp_path, capsys) == _CLI_DIGESTS
+
+
+def test_no_cli_path_builds_sample_pairs(tmp_path, capsys, monkeypatch):
+    # sample writes the sampler's columns: no SamplePair view and no per-draw
+    # list, and the bytes do not move.
+    def refuse(cls, *args, **kwargs):
+        raise AssertionError("a CLI path built a SamplePair")
+
+    monkeypatch.setattr(SamplePair, "__new__", refuse)
+    assert _cli_digests(tmp_path, capsys) == _CLI_DIGESTS
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+def test_cli_bytes_do_not_depend_on_the_write_slice(tmp_path, capsys, monkeypatch, rows):
+    # The pinned sample run writes 3000 rows, inside one default slice; at 1
+    # and 7 rows every table crosses slice boundaries.
+    monkeypatch.setattr(comolift_io, "_WRITE_ROWS", rows)
     assert _cli_digests(tmp_path, capsys) == _CLI_DIGESTS
 
 

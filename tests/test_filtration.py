@@ -61,6 +61,16 @@ def test_from_columns_runs_the_model_checks():
     assert near.ids() == ("a", "b")
 
 
+def test_from_columns_copies_the_callers_arrays():
+    # The model freezes its own copies: the caller's arrays stay writeable,
+    # and writing to them does not reach the model.
+    w, f = np.array([0.5, 0.5]), np.array([0.0, 1.0])
+    m = FiltrationModel.from_columns(["a", "b"], w, f, [0.0, 2.0])
+    w[0], f[0] = 0.25, 3.0
+    assert m.weights().tolist() == [0.5, 0.5] and m.f.tolist() == [0.0, 1.0]
+    assert not (m.weights().flags.writeable or m.f.flags.writeable or m.g.flags.writeable)
+
+
 def test_model_is_immutable_and_indexable():
     m = two_atom_model()
     assert m.ids() == ("a", "b")

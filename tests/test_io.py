@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from comolift import io as comolift_io
 from comolift.errors import InputFormatError
 from comolift.filtration import Atom, FiltrationModel
 from comolift.geometry import Point2
@@ -226,6 +227,43 @@ def test_samples_csv_format(tmp_path):
     assert first[0] == "0"
     assert first[1] in ("m0", "m1")
     assert float(first[2]) == samples[0].u  # round-trip exact
+
+
+def test_zero_draws_write_only_the_header(tmp_path):
+    m = model_of([(0.0, 0.0), (8.0, 8.0)])
+    p = tmp_path / "samples.csv"
+    write_samples_csv(sample_lift(m, lift(m), 0, seed=42), p)
+    assert p.read_text() == "sample_id,atom_id,u,xi,eta\n"
+
+
+@pytest.mark.parametrize("bad_id", ["x,y", 'x"y', "x\ny"])
+def test_atom_keyed_writers_refuse_unsafe_ids_before_opening(tmp_path, bad_id):
+    # Such an id would need quoting, and the readers refuse it: no writer may
+    # leave a file behind that cannot be read back.
+    m = FiltrationModel.from_columns([bad_id, "b"], [0.5, 0.5], [0.0, 1.0], [0.0, 2.0])
+    law = lift(m)
+    for writer, table in ((write_atoms_csv, m), (write_law_csv, law),
+                          (write_samples_csv, sample_lift(m, law, 3, seed=1))):
+        p = tmp_path / f"{writer.__name__}.csv"
+        with pytest.raises(InputFormatError, match="not CSV-safe"):
+            writer(table, p)
+        assert not p.exists()
+
+
+def test_written_bytes_do_not_depend_on_the_slice_size(tmp_path, monkeypatch):
+    # 120 curve rows and 50 atom rows: slices of 1 and 7 rows cross many
+    # slice boundaries, and 7 divides neither count.
+    m = model_of([(x, 0.5 * x + 1.0) for x in np.linspace(-1e3, 1e3, 50).tolist()])
+
+    def written(rows):
+        monkeypatch.setattr(comolift_io, "_WRITE_ROWS", rows)
+        export_curve(30, tmp_path / "curve.csv")
+        write_atoms_csv(m, tmp_path / "atoms.csv")
+        return (tmp_path / "curve.csv").read_bytes(), (tmp_path / "atoms.csv").read_bytes()
+
+    default = written(comolift_io._WRITE_ROWS)
+    assert written(1) == default
+    assert written(7) == default
 
 
 def test_export_curve_frozen_examples(tmp_path):

@@ -138,6 +138,25 @@ def test_sample_lift_frequencies():
     assert abs(freq - lam) <= 5.0 * se
 
 
+def test_samples_views_match_per_draw_pairs():
+    # The pairs a per-draw list would hold, built from the sampler's columns.
+    m = demo_model()
+    law = lift(m)
+    samples = sample_lift(m, law, 300, seed=8)
+    idx, u, xi, eta, _ = sample_lift_arrays(m, law, 300, seed=8)
+    pairs = [SamplePair(m.ids()[i], uv, xv, yv)
+             for i, uv, xv, yv in zip(idx.tolist(), u.tolist(), xi.tolist(), eta.tolist())]
+    assert len(samples) == 300
+    assert list(samples) == pairs
+    assert (samples[0], samples[7], samples[-1], samples[-300]) == (pairs[0], pairs[7], pairs[-1], pairs[0])
+    assert all(type(value) is float for value in samples[-1][1:])
+    with pytest.raises(IndexError):
+        samples[300]
+    with pytest.raises(TypeError):
+        samples[1:3]
+    assert not any(col.flags.writeable for col in (samples.idx, samples.u, samples.xi, samples.eta))
+
+
 def test_sample_pair_shape():
     p = SamplePair("a", 0.5, -4.0, -3.0)
     assert p.atom_id == "a" and p.u == 0.5 and (p.xi, p.eta) == (-4.0, -3.0)
