@@ -17,7 +17,8 @@ Formats:
 Every reader applies one atom-id rule (nonempty, unique, and free of ``,``,
 ``"`` and line breaks, so a row never needs quoting) and names the file and
 line of the first row that breaks it; every atom-keyed writer checks the
-same rule before it opens its file.  One table writer lays out every CSV row.
+same rule before it opens its file.  One table reader parses every CSV input
+row, and one table writer lays out every CSV output row.
 
 Reports serialize two ways: a flat key=value text block (summary fields
 first, then per-check statistic/threshold/pass triples) and CSV rows
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from pathlib import Path
 from typing import Iterable, Sequence, TextIO
 
@@ -74,62 +76,90 @@ def format_float(value: float) -> str:
     return repr(float(value))
 
 
-def _parse_float(cell: str, path: str, line: int, field: str) -> float:
+def _cell_fault(cell: str, field: str, low: float) -> str:
+    """What is wrong with one value cell, or "" when it parses to a finite float above ``low``."""
+    cell = cell.strip()
     try:
         value = float(cell)
     except ValueError:
-        raise InputFormatError(f"{path}:{line}: {field} is not a number: {cell!r}") from None
+        return f"{field} is not a number: {cell!r}"
     if not math.isfinite(value):
-        raise InputFormatError(f"{path}:{line}: {field} must be finite, got {cell!r}")
-    return value
+        return f"{field} must be finite, got {cell!r}"
+    return f"{field} must be positive, got {cell!r}" if value <= low else ""
 
 
-def _csv_safe(atom_id: str) -> bool:
-    """Whether an atom id can be written into a CSV cell without quoting."""
-    return not ("," in atom_id or "\n" in atom_id or '"' in atom_id)
+def _id_fault(atom_id: str) -> str:
+    """The atom-id rule of every reader and writer: what is wrong with an id,
+    or "" when it is nonempty and free of ``,``, ``"`` and line breaks."""
+    if not atom_id:
+        return "must be nonempty"
+    return f"{atom_id!r} is not CSV-safe" if "," in atom_id or "\n" in atom_id or '"' in atom_id else ""
 
 
-def _require_csv_safe(ids: Iterable[str]) -> None:
+def _require_good_ids(ids: Iterable[str]) -> None:
     """The writers' half of the atom-id rule, run before a file is opened."""
     for atom_id in ids:
-        if not _csv_safe(atom_id):
-            raise InputFormatError(f"atom id {atom_id!r} is not CSV-safe")
-
-
-def _read_rows(path: str | Path, header: list[str]) -> list[tuple[int, list[str]]]:
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InputFormatError(f"cannot read {path}: {exc}") from exc
-    rows = list(csv.reader(text.splitlines()))
-    if not rows:
-        raise InputFormatError(f"{path}: empty file")
-    got = [cell.strip() for cell in rows[0]]
-    if got != header:
-        raise InputFormatError(f"{path}:1: expected header {','.join(header)!r}, got {','.join(got)!r}")
-    out: list[tuple[int, list[str]]] = []
-    for i, row in enumerate(rows[1:], start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue  # blank line
-        if len(row) != len(header):
-            raise InputFormatError(f"{path}:{i}: expected {len(header)} fields, got {len(row)}")
-        out.append((i, [cell.strip() for cell in row]))
-    if not out:
-        raise InputFormatError(f"{path}: no data rows")
-    return out
+        if _id_fault(atom_id):
+            raise InputFormatError(f"atom id {_id_fault(atom_id)}")
 
 
 def _take_id(atom_id: str, seen: set[str], path: str, line: int) -> str:
-    """The one atom-id rule of every reader: nonempty, CSV-safe, unique."""
-    if not atom_id:
-        raise InputFormatError(f"{path}:{line}: atom_id must be nonempty")
-    if not _csv_safe(atom_id):
-        raise InputFormatError(f"{path}:{line}: atom_id {atom_id!r} is not CSV-safe")
+    """The readers' half of the atom-id rule: the writers' half, and unique."""
+    if _id_fault(atom_id):
+        raise InputFormatError(f"{path}:{line}: atom_id {_id_fault(atom_id)}")
     if atom_id in seen:
         raise InputFormatError(f"{path}:{line}: duplicate atom_id {atom_id!r}")
     seen.add(atom_id)
     return atom_id
+
+
+def _read_table(path: str | Path, header: list[str], positive: Sequence[str] = ()) -> tuple[list[str], np.ndarray]:
+    """The one row loop of every CSV reader: the ids, and a (k, n) array of the
+    other k columns, of which the ``positive`` ones must be > 0.  Every wrong field
+    count, then an empty table, is reported before the first row's id or value fault."""
+    name = str(path)
+    path = Path(path)
+    try:
+        lines = path.read_bytes().decode("utf-8").splitlines()
+    except OSError as exc:
+        raise InputFormatError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        line = len((exc.object[:exc.start].decode("utf-8") + "x").splitlines())
+        raise InputFormatError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from None
+    if not lines:
+        raise InputFormatError(f"{path}: empty file")
+    rows = csv.reader(lines)
+    # low < v rules out nan, -inf, and v <= 0 where low is 0; +inf is ruled out apart.
+    low = [0.0 if field in positive else -math.inf for field in header[1:]]
+    ids: list[str] = []
+    seen: set[str] = set()
+    flat: list[float] = []
+    fault = ""
+    try:
+        got = [cell.strip() for cell in next(rows)]
+        if got != header:
+            raise InputFormatError(f"{path}:1: expected header {','.join(header)!r}, got {','.join(got)!r}")
+        for line, cells in enumerate(rows, start=2):
+            if not cells or (len(cells) == 1 and not cells[0].strip()):
+                continue  # blank line
+            if len(cells) != len(header):
+                raise InputFormatError(f"{path}:{line}: expected {len(header)} fields, got {len(cells)}")
+            if not fault:  # past the first id or value fault, only field counts are checked
+                try:
+                    ids.append(_take_id(cells[0].strip(), seen, name, line))
+                    values = list(map(float, map(str.strip, cells[1:])))
+                    if not all(map(operator.lt, low, values)) or math.inf in values:
+                        raise ValueError
+                    flat += values
+                except InputFormatError as exc:
+                    fault = str(exc)
+                except ValueError:  # only the cell walk names a value fault
+                    fault = f"{name}:{line}: " + next(filter(None, map(_cell_fault, cells[1:], header[1:], low)))
+    except csv.Error as exc:
+        raise InputFormatError(f"{path}:{rows.line_num}: {exc}") from None
+    if fault or not ids:
+        raise InputFormatError(fault or f"{path}: no data rows")
+    return ids, np.array(flat).reshape(len(ids), len(low)).T
 
 
 def ingest_atoms(path: str | Path) -> FiltrationModel:
@@ -139,29 +169,14 @@ def ingest_atoms(path: str | Path) -> FiltrationModel:
     in-tolerance drift is renormalized away, anything worse is rejected.
     Errors carry the file name and line number.
     """
-    name = str(path)
-    seen: set[str] = set()
-    ids: list[str] = []
-    weights: list[float] = []
-    f: list[float] = []
-    g: list[float] = []
-    for line, row in _read_rows(path, _ATOMS_HEADER):  # unnamed: the rows are freed before the arrays exist
-        ids.append(_take_id(row[0], seen, name, line))
-        weight = _parse_float(row[1], name, line, "weight")
-        if weight <= 0.0:
-            raise InputFormatError(f"{name}:{line}: weight must be positive, got {row[1]!r}")
-        weights.append(weight)
-        f.append(_parse_float(row[2], name, line, "f"))
-        g.append(_parse_float(row[3], name, line, "g"))
+    ids, (weights, f, g) = _read_table(path, _ATOMS_HEADER, positive=("weight",))
     try:
-        total = math.fsum(weights)
+        total = math.fsum(weights.tolist())
     except OverflowError:  # finite weights whose sum passes the float range
         total = math.inf
     if abs(total - 1.0) > WEIGHT_RENORM_TOL:
-        raise InputFormatError(
-            f"{name}: atom weights sum to {total!r}, outside 1 +- {WEIGHT_RENORM_TOL}"
-        )
-    return FiltrationModel.from_columns(ids, np.array(weights) / total, f, g)
+        raise InputFormatError(f"{path}: atom weights sum to {total!r}, outside 1 +- {WEIGHT_RENORM_TOL}")
+    return FiltrationModel.from_columns(ids, weights / total, f, g)
 
 
 def _open_out(path: str | Path) -> TextIO:
@@ -185,7 +200,7 @@ def _write_csv(path: str | Path, header: list[str], *columns: Sequence) -> None:
 
 
 def write_atoms_csv(model: FiltrationModel, path: str | Path) -> None:
-    _require_csv_safe(model.ids())
+    _require_good_ids(model.ids())
     _write_csv(path, _ATOMS_HEADER, model.ids(), model.weights(), model.f, model.g)
 
 
@@ -198,7 +213,7 @@ def write_law_csv(law: LiftedLaw, path: str | Path) -> None:
     written is rejected before the file is opened.
     """
     ids = law.atom_ids()
-    _require_csv_safe(ids)
+    _require_good_ids(ids)
     first, last = law.ends()
     wide = last - first > 1
     if np.any(wide):
@@ -218,16 +233,7 @@ def read_law_csv(path: str | Path) -> LiftedLaw:
     collapsed laws); everything else is kept as two branches with
     probabilities (lambda, 1 - lambda) for the verifier to judge.
     """
-    rows = _read_rows(path, _LAW_HEADER)
-    name = str(path)
-    seen: set[str] = set()
-    ids: list[str] = []
-    values: list[list[float]] = []
-    for line, row in rows:
-        ids.append(_take_id(row[0], seen, name, line))
-        values.append([_parse_float(cell, name, line, field)
-                       for cell, field in zip(row[1:], _LAW_HEADER[1:])])
-    lam, u1, v1, u2, v2 = np.array(values).T
+    ids, (lam, u1, v1, u2, v2) = _read_table(path, _LAW_HEADER)
     single = (u1 == u2) & (v1 == v2) & ((lam == 0.0) | (lam == 1.0))
     # A collapsed row keeps only its first point, with probability 1.
     keep = np.column_stack((np.ones_like(single), ~single))
@@ -236,7 +242,7 @@ def read_law_csv(path: str | Path) -> LiftedLaw:
 
 
 def write_samples_csv(samples: Samples, path: str | Path) -> None:
-    _require_csv_safe(samples.ids)
+    _require_good_ids(samples.ids)
     atom_ids = np.array(samples.ids, dtype=object)[samples.idx]
     _write_csv(path, _SAMPLES_HEADER, range(len(samples)), atom_ids, samples.u, samples.xi, samples.eta)
 

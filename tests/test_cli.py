@@ -443,6 +443,40 @@ def test_cli_bytes_do_not_depend_on_the_write_slice(tmp_path, capsys, monkeypatc
     assert _cli_digests(tmp_path, capsys) == _CLI_DIGESTS
 
 
+def test_no_accepted_row_takes_the_cell_walk(tmp_path, capsys, monkeypatch):
+    # Every row of the pinned runs is accepted, so none may reach the per-cell
+    # diagnosis: the one fast row parse is the only path for accepted input.
+    def refuse(*args):
+        raise AssertionError("an accepted row took the cell walk")
+
+    monkeypatch.setattr(comolift_io, "_cell_fault", refuse)
+    assert _cli_digests(tmp_path, capsys) == _CLI_DIGESTS
+
+
+@pytest.mark.parametrize("bad_id,message", [
+    (b"a\xff", "not UTF-8 text (invalid start byte)"),
+    (b"a" * 200_000, "field larger than field limit (131072)"),
+], ids=["non_utf8", "past_csv_field_limit"])
+def test_unparsable_cell_exits_3_naming_file_and_line(tmp_path, capsys, bad_id, message):
+    atoms = tmp_path / "bad_atoms.csv"
+    atoms.write_bytes(b"atom_id,weight,f,g\n" + bad_id + b",1,0,0\n")
+    good_atoms = tmp_path / "atoms.csv"
+    good_atoms.write_text("atom_id,weight,f,g\na,0.5,1,2\nb,0.5,3,4\n")
+    law = tmp_path / "bad_law.csv"
+    law.write_bytes(b"atom_id,lambda,u1,v1,u2,v2\n" + bad_id + b",0,1,2,1,2\nb,0,3,4,3,4\n")
+    out = tmp_path / "out.csv"
+    runs = [
+        (["lift", "--input", str(atoms), "--output", str(out)], atoms),
+        (["verify", "--input", str(good_atoms), "--law", str(law), "--output", str(out)], law),
+    ]
+    for argv, culprit in runs:
+        assert main(argv) == 3, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {culprit}:2: {message}\n"
+        assert not out.exists()
+
+
 def test_weight_sum_past_float_range_exits_3(tmp_path, capsys):
     atoms = tmp_path / "atoms.csv"
     atoms.write_text("atom_id,weight,f,g\na,1e308,0,0\nb,1e308,1,1\n")

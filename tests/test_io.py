@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import csv
 import math
+import random
 import string
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +28,7 @@ from comolift.io import (
     write_law_csv,
     write_samples_csv,
 )
-from comolift.lifting import lift, sample_lift
+from comolift.lifting import LiftedLaw, lift, sample_lift
 from comolift.verification import verify_model
 
 
@@ -250,6 +253,27 @@ def test_atom_keyed_writers_refuse_unsafe_ids_before_opening(tmp_path, bad_id):
         assert not p.exists()
 
 
+def test_atom_keyed_writers_refuse_empty_ids_before_opening(tmp_path):
+    # The readers refuse an empty id, so the writers must not write one.
+    m = FiltrationModel.from_columns(["", "b"], [0.5, 0.5], [0.0, 1.0], [0.0, 2.0])
+    law = lift(m)
+    for writer, table in ((write_atoms_csv, m), (write_law_csv, law),
+                          (write_samples_csv, sample_lift(m, law, 3, seed=1))):
+        p = tmp_path / f"{writer.__name__}.csv"
+        with pytest.raises(InputFormatError, match="atom id must be nonempty"):
+            writer(table, p)
+        assert not p.exists()
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+def test_non_utf8_input_names_the_line_of_the_first_bad_byte(tmp_path, end):
+    # Lines are counted as the reader splits them, whatever the line ending.
+    p = tmp_path / "atoms.csv"
+    p.write_bytes(end.join(["atom_id,weight,f,g", "a,0.5,0,0", "", "b\xff,0.5,1,\xfe1"]).encode("latin-1"))
+    with pytest.raises(InputFormatError, match=rf"^{p}:4: not UTF-8 text \(invalid start byte\)$"):
+        ingest_atoms(p)
+
+
 def test_written_bytes_do_not_depend_on_the_slice_size(tmp_path, monkeypatch):
     # 120 curve rows and 50 atom rows: slices of 1 and 7 rows cross many
     # slice boundaries, and 7 divides neither count.
@@ -320,3 +344,199 @@ def test_report_serializations_are_consistent(tmp_path):
         assert float(thr) == row.threshold
         assert passed == ("true" if row.passed else "false")
         assert kv[f"check.{row.name}.statistic"] == stat
+
+
+# The row-by-row readers that the one table reader replaced, kept as the
+# oracle of the differential tests below: a list of every stripped row, then
+# one per-cell loop per format.
+
+def _oracle_rows(path, header):
+    path = Path(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise InputFormatError(f"cannot read {path}: {exc}") from exc
+    rows = list(csv.reader(text.splitlines()))
+    if not rows:
+        raise InputFormatError(f"{path}: empty file")
+    got = [cell.strip() for cell in rows[0]]
+    if got != header:
+        raise InputFormatError(f"{path}:1: expected header {','.join(header)!r}, got {','.join(got)!r}")
+    out = []
+    for i, row in enumerate(rows[1:], start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue  # blank line
+        if len(row) != len(header):
+            raise InputFormatError(f"{path}:{i}: expected {len(header)} fields, got {len(row)}")
+        out.append((i, [cell.strip() for cell in row]))
+    if not out:
+        raise InputFormatError(f"{path}: no data rows")
+    return out
+
+
+def _oracle_float(cell, path, line, field):
+    try:
+        value = float(cell)
+    except ValueError:
+        raise InputFormatError(f"{path}:{line}: {field} is not a number: {cell!r}") from None
+    if not math.isfinite(value):
+        raise InputFormatError(f"{path}:{line}: {field} must be finite, got {cell!r}")
+    return value
+
+
+def _oracle_id(atom_id, seen, path, line):
+    if not atom_id:
+        raise InputFormatError(f"{path}:{line}: atom_id must be nonempty")
+    if "," in atom_id or "\n" in atom_id or '"' in atom_id:
+        raise InputFormatError(f"{path}:{line}: atom_id {atom_id!r} is not CSV-safe")
+    if atom_id in seen:
+        raise InputFormatError(f"{path}:{line}: duplicate atom_id {atom_id!r}")
+    seen.add(atom_id)
+    return atom_id
+
+
+def _oracle_ingest_atoms(path):
+    name = str(path)
+    seen = set()
+    ids, weights, f, g = [], [], [], []
+    for line, row in _oracle_rows(path, ["atom_id", "weight", "f", "g"]):
+        ids.append(_oracle_id(row[0], seen, name, line))
+        weight = _oracle_float(row[1], name, line, "weight")
+        if weight <= 0.0:
+            raise InputFormatError(f"{name}:{line}: weight must be positive, got {row[1]!r}")
+        weights.append(weight)
+        f.append(_oracle_float(row[2], name, line, "f"))
+        g.append(_oracle_float(row[3], name, line, "g"))
+    try:
+        total = math.fsum(weights)
+    except OverflowError:
+        total = math.inf
+    if abs(total - 1.0) > comolift_io.WEIGHT_RENORM_TOL:
+        raise InputFormatError(
+            f"{name}: atom weights sum to {total!r}, outside 1 +- {comolift_io.WEIGHT_RENORM_TOL}"
+        )
+    return FiltrationModel.from_columns(ids, np.array(weights) / total, f, g)
+
+
+def _oracle_read_law_csv(path):
+    header = ["atom_id", "lambda", "u1", "v1", "u2", "v2"]
+    rows = _oracle_rows(path, header)
+    name = str(path)
+    seen = set()
+    ids, values = [], []
+    for line, row in rows:
+        ids.append(_oracle_id(row[0], seen, name, line))
+        values.append([_oracle_float(cell, name, line, field) for cell, field in zip(row[1:], header[1:])])
+    lam, u1, v1, u2, v2 = np.array(values).T
+    single = (u1 == u2) & (v1 == v2) & ((lam == 0.0) | (lam == 1.0))
+    keep = np.column_stack((np.ones_like(single), ~single))
+    return LiftedLaw.from_pairs(ids, keep, np.column_stack((np.where(single, 1.0, lam), 1.0 - lam)),
+                                np.column_stack((u1, u2)), np.column_stack((v1, v2)))
+
+
+# Characters that str.strip removes but splitlines does not split on.
+_PADS = ["", " ", "\t", "\x1f", "\xa0", " \x1f\xa0"]
+_FULL_WIDTH = str.maketrans("0123456789", "０１２３４５６７８９")
+_BAD_NUMBERS = ["nan", "-inf", "Infinity", "1e400", "", "  ", "abc", "1.2.3", "0x10", "1__0", "_1"]
+_EDGE_VALUES = [0.0, -0.0, 0.1, 1.0, 2.0 ** 53, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308]
+_FAULTS = ["value", "positive", "sum", "fields", "duplicate", "empty_id", "unsafe_id"]
+
+
+def _spelling(rnd, x):
+    """A cell that ``float(cell.strip())`` reads as ``x``: shortest or integral
+    digits, maybe with ``_`` groups or full-width digits, padding, quotes."""
+    forms = [repr(x), format_float(x)] + ([f"{int(x):_}"] if x.is_integer() and abs(x) < 1e18 else [])
+    text = rnd.choice(forms)
+    if rnd.random() < 0.3:
+        text = text.translate(_FULL_WIDTH)
+    text = rnd.choice(_PADS) + text + rnd.choice(_PADS)
+    return f'"{text}"' if rnd.random() < 0.3 else text
+
+
+@st.composite
+def _table_text(draw, law):
+    """CSV text of an atoms file (``law`` false) or a law file, and whether it
+    was built free of faults; such a file must be accepted."""
+    rnd = random.Random(draw(st.integers(0, 2 ** 64)))
+    width = 5 if law else 3
+    n = rnd.randint(1, 12)
+    values = [rnd.choice(_EDGE_VALUES) if rnd.random() < 0.2 else float(rnd.randint(-10 ** 6, 10 ** 6))
+              if rnd.random() < 0.3 else rnd.uniform(-1.0, 1.0) * 10.0 ** rnd.randint(-320, 308)
+              for _ in range(n * width)]
+    rows = [values[i * width:(i + 1) * width] for i in range(n)]
+    if law:
+        header = ["atom_id", "lambda", "u1", "v1", "u2", "v2"]
+        for row in rows:
+            if rnd.random() < 0.5:  # the writer's collapsed-row convention
+                row[0], row[3], row[4] = rnd.choice([0.0, 1.0]), row[1], row[2]
+    else:
+        header = ["atom_id", "weight", "f", "g"]
+        counts = [rnd.randint(1, 8) for _ in rows]
+        scale = 1 << max(sum(counts) - 1, 1).bit_length()  # dyadic weights summing to exactly 1
+        counts[-1] += scale - sum(counts)
+        for row, count in zip(rows, counts):
+            row[0] = count / scale
+    ids = rnd.sample(["a", "b", "c", "x_1", "y.2", "z-3", "é", "ab", "ba", "q", "r", "s", "t"], n)
+    cells = [[rnd.choice(_PADS) + atom_id] + [_spelling(rnd, x) for x in row] for atom_id, row in zip(ids, rows)]
+    faults = rnd.sample(_FAULTS, rnd.choice([0, 0, 0, 1, 1, 2, 3]))
+    for fault in faults:
+        row = rnd.choice(cells)
+        if fault == "value":
+            row[rnd.randrange(1, len(row))] = rnd.choice(_BAD_NUMBERS)
+        elif fault == "positive":
+            row[1] = rnd.choice(["0", "-0", "-0.25", " -1e-300"])
+        elif fault == "sum":
+            row[1] = "2"
+        elif fault == "fields":
+            row.append("0") if rnd.random() < 0.5 else row.pop()
+        elif fault == "duplicate":
+            row[0] = rnd.choice(cells)[0]
+        elif fault == "empty_id":
+            row[0] = rnd.choice(["", " ", '""', "\x1f"])
+        else:
+            row[0] = rnd.choice(['"a,b"', '"a""b"', ' "a,b"'])
+    lines = [",".join(header)]
+    for row in cells:
+        if rnd.random() < 0.2:
+            lines.append(rnd.choice(["", "  ", "\t", "\x1f"]))  # a blank line
+        lines.append(",".join(row))
+    return "".join(line + rnd.choice(["\n", "\r\n", "\r"]) for line in lines), not faults
+
+
+def _outcome(reader, path):
+    try:
+        return reader(path)
+    except InputFormatError as exc:
+        return str(exc)
+
+
+@given(built=_table_text(law=False))
+@settings(max_examples=1000, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_ingest_atoms_agrees_with_the_row_by_row_oracle(tmp_path, built):
+    text, fault_free = built
+    p = tmp_path / "atoms.csv"
+    p.write_bytes(text.encode("utf-8"))
+    want, got = _outcome(_oracle_ingest_atoms, p), _outcome(ingest_atoms, p)
+    if isinstance(want, str):
+        assert got == want
+        assert not fault_free
+        return
+    assert got.ids() == want.ids()
+    for a, b in ((got.weights(), want.weights()), (got.f, want.f), (got.g, want.g)):
+        assert a.tobytes() == b.tobytes()
+
+
+@given(built=_table_text(law=True))
+@settings(max_examples=1000, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_read_law_csv_agrees_with_the_row_by_row_oracle(tmp_path, built):
+    text, fault_free = built
+    p = tmp_path / "law.csv"
+    p.write_bytes(text.encode("utf-8"))
+    want, got = _outcome(_oracle_read_law_csv, p), _outcome(read_law_csv, p)
+    if isinstance(want, str):
+        assert got == want
+        assert not fault_free
+        return
+    assert got.atom_ids() == want.atom_ids()
+    for a, b in ((got.owner, want.owner), (got.prob, want.prob), (got.x, want.x), (got.y, want.y)):
+        assert a.tobytes() == b.tobytes()
