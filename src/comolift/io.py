@@ -17,8 +17,17 @@ Formats:
 Every reader applies one atom-id rule (nonempty, unique, and free of ``,``,
 ``"`` and line breaks, so a row never needs quoting) and names the file and
 line of the first row that breaks it; every atom-keyed writer checks the
-same rule before it opens its file.  One table reader parses every CSV input
-row, and one table writer lays out every CSV output row.
+same rule before it opens its file, and also refuses an id that would not
+read back as written (surrounding whitespace, which the reader strips, or
+any line break that ``str.splitlines`` splits on).  One table reader parses
+every CSV input row, and one table writer lays out every CSV output row.
+
+The writer takes plain columns, formatted cell by cell, and coded columns:
+a list of cells and one code per row, so a value that repeats is formatted
+once.  A sample row's atom id is coded by its atom index, and its xi,eta
+pair by its law branch: each branch point is formatted at most once per run.  Samples
+may arrive in chunks: the writer opens its file once and streams every
+chunk into it, so no more than one chunk of draws is held at a time.
 
 Reports serialize two ways: a flat key=value text block (summary fields
 first, then per-check statistic/threshold/pass triples) and CSV rows
@@ -31,7 +40,8 @@ import csv
 import math
 import operator
 from pathlib import Path
-from typing import Iterable, Sequence, TextIO
+from itertools import chain
+from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -69,11 +79,8 @@ _WRITE_ROWS = 4096
 
 def format_float(value: float) -> str:
     """Shortest decimal that round-trips; integral values drop the ``.0``."""
-    if value != value or math.isinf(value):
-        return repr(value)
-    if float(value).is_integer():
-        return str(int(value))
-    return repr(float(value))
+    value = float(value)
+    return str(int(value)) if value.is_integer() else repr(value)
 
 
 def _cell_fault(cell: str, field: str, low: float) -> str:
@@ -97,10 +104,15 @@ def _id_fault(atom_id: str) -> str:
 
 
 def _require_good_ids(ids: Iterable[str]) -> None:
-    """The writers' half of the atom-id rule, run before a file is opened."""
+    """The writers' half of the atom-id rule, run before a file is opened: the
+    readers' rule, and the id must read back as written, so no surrounding
+    whitespace (readers strip cells) and no line break (readers split lines)."""
     for atom_id in ids:
-        if _id_fault(atom_id):
-            raise InputFormatError(f"atom id {_id_fault(atom_id)}")
+        fault = _id_fault(atom_id)
+        if not fault and (atom_id.strip() != atom_id or len(atom_id.splitlines()) != 1):
+            fault = f"{atom_id!r} would not read back"
+        if fault:
+            raise InputFormatError(f"atom id {fault}")
 
 
 def _take_id(atom_id: str, seen: set[str], path: str, line: int) -> str:
@@ -118,16 +130,15 @@ def _read_table(path: str | Path, header: list[str], positive: Sequence[str] = (
     other k columns, of which the ``positive`` ones must be > 0.  Every wrong field
     count, then an empty table, is reported before the first row's id or value fault."""
     name = str(path)
-    path = Path(path)
     try:
-        lines = path.read_bytes().decode("utf-8").splitlines()
+        lines = Path(path).read_bytes().decode("utf-8").splitlines()
     except OSError as exc:
-        raise InputFormatError(f"cannot read {path}: {exc}") from exc
+        raise InputFormatError(f"cannot read {name}: {exc}") from exc
     except UnicodeDecodeError as exc:
         line = len((exc.object[:exc.start].decode("utf-8") + "x").splitlines())
-        raise InputFormatError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from None
+        raise InputFormatError(f"{name}:{line}: not UTF-8 text ({exc.reason})") from None
     if not lines:
-        raise InputFormatError(f"{path}: empty file")
+        raise InputFormatError(f"{name}: empty file")
     rows = csv.reader(lines)
     # low < v rules out nan, -inf, and v <= 0 where low is 0; +inf is ruled out apart.
     low = [0.0 if field in positive else -math.inf for field in header[1:]]
@@ -138,12 +149,12 @@ def _read_table(path: str | Path, header: list[str], positive: Sequence[str] = (
     try:
         got = [cell.strip() for cell in next(rows)]
         if got != header:
-            raise InputFormatError(f"{path}:1: expected header {','.join(header)!r}, got {','.join(got)!r}")
+            raise InputFormatError(f"{name}:1: expected header {','.join(header)!r}, got {','.join(got)!r}")
         for line, cells in enumerate(rows, start=2):
             if not cells or (len(cells) == 1 and not cells[0].strip()):
                 continue  # blank line
             if len(cells) != len(header):
-                raise InputFormatError(f"{path}:{line}: expected {len(header)} fields, got {len(cells)}")
+                raise InputFormatError(f"{name}:{line}: expected {len(header)} fields, got {len(cells)}")
             if not fault:  # past the first id or value fault, only field counts are checked
                 try:
                     ids.append(_take_id(cells[0].strip(), seen, name, line))
@@ -156,9 +167,9 @@ def _read_table(path: str | Path, header: list[str], positive: Sequence[str] = (
                 except ValueError:  # only the cell walk names a value fault
                     fault = f"{name}:{line}: " + next(filter(None, map(_cell_fault, cells[1:], header[1:], low)))
     except csv.Error as exc:
-        raise InputFormatError(f"{path}:{rows.line_num}: {exc}") from None
+        raise InputFormatError(f"{name}:{rows.line_num}: {exc}") from None
     if fault or not ids:
-        raise InputFormatError(fault or f"{path}: no data rows")
+        raise InputFormatError(fault or f"{name}: no data rows")
     return ids, np.array(flat).reshape(len(ids), len(low)).T
 
 
@@ -186,22 +197,39 @@ def _open_out(path: str | Path) -> TextIO:
         raise InputFormatError(f"cannot write {path}: {exc}") from exc
 
 
-def _write_csv(path: str | Path, header: list[str], *columns: Sequence) -> None:
-    """The one row layout of every CSV table: row k holds item k of each column,
-    a float array's through :func:`format_float`, any other's through ``str``."""
+class _Coded(NamedTuple):
+    """A column whose row k is ``cells[codes[k]]``."""
+
+    cells: Sequence[str]
+    codes: np.ndarray
+
+
+def _cells(column: Sequence | _Coded, lo: int, hi: int) -> Iterable[str]:
+    if isinstance(column, _Coded):  # a list zips faster than a lazy gather
+        return list(map(column.cells.__getitem__, column.codes[lo:hi].tolist()))
+    part = column[lo:hi]
+    if isinstance(part, np.ndarray) and part.dtype == np.float64:
+        return map(format_float, part.tolist())
+    return map(str, part)
+
+
+def _write_csv(path: str | Path, header: list[str], tables: Iterable[Sequence[Sequence | _Coded]]) -> None:
+    """The one row layout of every CSV file: a header, then the rows of each
+    table in turn.  Row k of a table holds item k of each of its columns, a
+    float array's through :func:`format_float`, a coded column's cell, any
+    other's through ``str``.  The first column, which sets the row count, is
+    not coded."""
     with _open_out(path) as fh:
         fh.write(",".join(header) + "\n")
-        for lo in range(0, len(columns[0]), _WRITE_ROWS):
-            parts = [column[lo:lo + _WRITE_ROWS] for column in columns]
-            cells = [map(format_float, part.tolist())
-                     if isinstance(part, np.ndarray) and part.dtype == np.float64 else map(str, part)
-                     for part in parts]
-            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+        for columns in tables:
+            for lo in range(0, len(columns[0]), _WRITE_ROWS):
+                cells = [_cells(column, lo, lo + _WRITE_ROWS) for column in columns]
+                fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def write_atoms_csv(model: FiltrationModel, path: str | Path) -> None:
     _require_good_ids(model.ids())
-    _write_csv(path, _ATOMS_HEADER, model.ids(), model.weights(), model.f, model.g)
+    _write_csv(path, _ATOMS_HEADER, [(model.ids(), model.weights(), model.f, model.g)])
 
 
 def write_law_csv(law: LiftedLaw, path: str | Path) -> None:
@@ -222,7 +250,7 @@ def write_law_csv(law: LiftedLaw, path: str | Path) -> None:
     x, y = law.x, law.y
     single = first == last
     lam = np.where(single, np.where(x[first] < 0.0, 1.0, 0.0), law.prob[first])
-    _write_csv(path, _LAW_HEADER, ids, lam, x[first], y[first], x[last], y[last])
+    _write_csv(path, _LAW_HEADER, [(ids, lam, x[first], y[first], x[last], y[last])])
 
 
 def read_law_csv(path: str | Path) -> LiftedLaw:
@@ -241,10 +269,35 @@ def read_law_csv(path: str | Path) -> LiftedLaw:
                                 np.column_stack((u1, u2)), np.column_stack((v1, v2)))
 
 
-def write_samples_csv(samples: Samples, path: str | Path) -> None:
-    _require_good_ids(samples.ids)
-    atom_ids = np.array(samples.ids, dtype=object)[samples.idx]
-    _write_csv(path, _SAMPLES_HEADER, range(len(samples)), atom_ids, samples.u, samples.xi, samples.eta)
+def write_samples_csv(samples: Samples | Iterable[Samples], path: str | Path) -> None:
+    """One row per draw, ``sample_id`` counting from each chunk's ``start``.
+
+    ``samples`` is one :class:`Samples` or the chunks of one run in draw
+    order, such as :func:`~comolift.lifting.sample_chunks` yields: they share
+    the first chunk's ids and law columns, and only one is held at a time.
+    The ids are checked before the file is opened.  A law branch's point is
+    formatted once, when a draw first emits it, so a short run from a large
+    law formats no more points than it makes draws.
+    """
+    chunks = iter((samples,) if isinstance(samples, Samples) else samples)
+    head = next(chunks, None)
+    if head is None:
+        _write_csv(path, _SAMPLES_HEADER, ())
+        return
+    _require_good_ids(head.ids)
+    points = [""] * head.x.size  # branch b's "x,y" cell, once a draw has emitted b
+    pending = np.ones(head.x.size, dtype=bool)
+
+    def tables() -> Iterator[tuple]:
+        for s in chain((head,), chunks):
+            new = np.flatnonzero(pending & (np.bincount(s.branch, minlength=pending.size) > 0))
+            pending[new] = False
+            xs, ys = map(format_float, s.x[new].tolist()), map(format_float, s.y[new].tolist())
+            for b, x, y in zip(new.tolist(), xs, ys):
+                points[b] = x + "," + y
+            yield range(s.start, s.start + len(s)), _Coded(s.ids, s.idx), s.u, _Coded(points, s.branch)
+
+    _write_csv(path, _SAMPLES_HEADER, tables())
 
 
 def _svg_path(points: Iterable[tuple[float, float]]) -> str:
@@ -288,7 +341,8 @@ def export_curve(max_stage: int, path: str | Path) -> None:
     segments = curve_segments(max_stage)
     path = Path(path)
     ends = np.array([(*seg.a.as_tuple(), *seg.b.as_tuple()) for seg in segments]).T
-    _write_csv(path, _CURVE_HEADER, [seg.stage for seg in segments], [seg.kind for seg in segments], *ends)
+    stages, kinds = [seg.stage for seg in segments], [seg.kind for seg in segments]
+    _write_csv(path, _CURVE_HEADER, [(stages, kinds, *ends)])
     svg_path = path.with_suffix(".svg")
     with _open_out(svg_path) as fh:
         fh.write(_curve_svg(segments, max_stage))

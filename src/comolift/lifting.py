@@ -17,8 +17,10 @@ order; it owns the check that both hold the same atoms.
 ``sample_lift`` realizes the law through the model's (atom, u) stream: the
 sample emits the first branch when u <= (first branch probability), so for a
 two-branch atom the first branch fires with probability lam exactly on the
-dyadic grid of u.  The (atom, u) pairs for a given seed are identical to
-``sample_u``'s, which makes sampled output reproducible end to end.
+dyadic grid of u.  :func:`sample_branch` is that choice, the one sampler
+kernel.  The (atom, u) pairs for a given seed are identical to
+``sample_u``'s, which makes sampled output reproducible end to end, and
+:func:`sample_chunks` draws the same run in consecutive chunks.
 
 ``LiftedLaw`` is deliberately light on validation: it checks shape, not
 semantics (probability ranges, curve membership, mean identities), so that
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -48,6 +50,8 @@ __all__ = [
     "align_law",
     "lift",
     "sample_table",
+    "sample_branch",
+    "sample_chunks",
     "sample_lift",
     "sample_lift_arrays",
     "norm_bound_columns",
@@ -160,19 +164,32 @@ class SamplePair(NamedTuple):
 
 
 class Samples(Sequence[SamplePair]):
-    """Draws as read-only columns: draw k is atom ``ids[idx[k]]`` at ``u[k]``,
-    emitting (``xi[k]``, ``eta[k]``).  An int index, negative too, or iteration
-    builds :class:`SamplePair` views; a slice raises ``TypeError``, so slice the columns."""
+    """Draws ``start`` to ``start + len - 1`` of a run as read-only columns:
+    draw k is atom ``ids[idx[k]]`` at ``u[k]``, emitting the law's branch
+    ``branch[k]``, the point (``x[branch[k]]``, ``y[branch[k]]``).  ``xi`` and
+    ``eta`` gather those points per read; they are not stored.  An int index,
+    negative too, or iteration builds :class:`SamplePair` views; a slice raises
+    ``TypeError``, so slice the columns."""
 
-    def __init__(self, ids: tuple[str, ...], idx, u, xi, eta) -> None:
-        self.ids = ids
-        self.idx, self.u, self.xi, self.eta = (frozen_array(c, c.dtype) for c in (idx, u, xi, eta))
+    def __init__(self, ids: tuple[str, ...], idx, u, branch, x, y, start: int = 0) -> None:
+        self.ids, self.start = ids, start
+        self.idx, self.u, self.branch = (frozen_array(c, c.dtype) for c in (idx, u, branch))
+        self.x, self.y = frozen_array(x), frozen_array(y)
+
+    @property
+    def xi(self) -> np.ndarray:
+        return frozen_array(self.x[self.branch])
+
+    @property
+    def eta(self) -> np.ndarray:
+        return frozen_array(self.y[self.branch])
 
     def __len__(self) -> int:
         return len(self.u)
 
     def __getitem__(self, k: int) -> SamplePair:
-        return SamplePair(self.ids[self.idx[k]], float(self.u[k]), float(self.xi[k]), float(self.eta[k]))
+        b = self.branch[k]
+        return SamplePair(self.ids[self.idx[k]], float(self.u[k]), float(self.x[b]), float(self.y[b]))
 
 
 class NormBoundRow(NamedTuple):
@@ -232,15 +249,26 @@ def sample_table(model: FiltrationModel, law: LiftedLaw) -> tuple[np.ndarray, np
     return np.where(first == last, 1.0, law.prob[first]), first, last
 
 
+def sample_branch(table: tuple[np.ndarray, np.ndarray, np.ndarray], idx: np.ndarray,
+                  u: np.ndarray) -> np.ndarray:
+    """The sampler kernel: the law branch each draw (atom idx[k], u[k]) emits,
+    given the model's :func:`sample_table`."""
+    threshold, first, last = table
+    return np.where(u <= threshold[idx], first[idx], last[idx])
+
+
+def _draw(model: FiltrationModel, law: LiftedLaw, table, count: int, seed: int, start: int) -> Samples:
+    idx, u = sample_u_arrays(model, count, seed, start)
+    return Samples(model.ids(), idx, u, sample_branch(table, idx, u), law.x, law.y, start)
+
+
 def sample_lift_arrays(
     model: FiltrationModel, law: LiftedLaw, count: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized sampler: (atom_index, u, xi, eta, took_first_branch)."""
-    threshold, first, last = sample_table(model, law)
-    idx, u = sample_u_arrays(model, count, seed)
-    took_first = u <= threshold[idx]
-    branch = np.where(took_first, first[idx], last[idx])
-    return idx, u, law.x[branch], law.y[branch], took_first
+    table = sample_table(model, law)
+    s = _draw(model, law, table, count, seed, 0)
+    return s.idx, s.u, s.xi, s.eta, s.branch == table[1][s.idx]
 
 
 def sample_lift(model: FiltrationModel, law: LiftedLaw, count: int, seed: int) -> Samples:
@@ -249,8 +277,20 @@ def sample_lift(model: FiltrationModel, law: LiftedLaw, count: int, seed: int) -
     Every emitted (xi, eta) is bit-identical to one of its atom's branch
     points; the (atom, u) stream matches ``sample_u`` for the same seed.
     """
-    idx, u, xi, eta, _ = sample_lift_arrays(model, law, count, seed)
-    return Samples(model.ids(), idx, u, xi, eta)
+    return _draw(model, law, sample_table(model, law), count, seed, 0)
+
+
+def sample_chunks(model: FiltrationModel, law: LiftedLaw, count: int, seed: int,
+                  chunk: int) -> Iterator[Samples]:
+    """The draws of ``sample_lift(model, law, count, seed)`` as consecutive
+    :class:`Samples` of at most ``chunk`` draws, each drawn when it is reached.
+
+    The table is built, and a law that does not match the model refused, on
+    the call, before any draw.
+    """
+    table = sample_table(model, law)
+    return (_draw(model, law, table, min(chunk, count - start), seed, start)
+            for start in range(0, count, chunk))
 
 
 def norm_bound_columns(model: FiltrationModel, law: LiftedLaw) -> tuple[np.ndarray, np.ndarray]:

@@ -69,6 +69,10 @@ _PROB_SUM_TOL = 2.0 ** -52
 
 _MC_SIGMAS = 5.0
 
+#: Law points per slice of the curve row: its temporaries grow with the slice,
+#: not with the law.
+_CURVE_SLICE = 16_384
+
 
 class CheckRow(NamedTuple):
     """One named check: the measured statistic against its threshold."""
@@ -248,7 +252,10 @@ def verify_model(
     shape_dev = _law_shape_deviation(law)
     det.append(CheckRow("law_well_formed", shape_dev, _PROB_SUM_TOL, shape_dev <= _PROB_SUM_TOL))
 
-    curve_dev = float(curve_distance_batch(law.x, law.y, MAX_STAGE).max())
+    curve_dev = float(np.max([
+        curve_distance_batch(law.x[lo:lo + _CURVE_SLICE], law.y[lo:lo + _CURVE_SLICE], MAX_STAGE).max()
+        for lo in range(0, law.x.size, _CURVE_SLICE)
+    ]))
     det.append(CheckRow("branch_points_on_curve", curve_dev, tol, curve_dev <= tol))
 
     _, lam, e1x, e1y, e2x, e2y = decompose_batch(f, g)

@@ -11,13 +11,16 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from comolift import cli
 from comolift import io as comolift_io
 from comolift.cli import RunConfig, main, parse_args, run
 from comolift.filtration import Atom, FiltrationModel
 from comolift.geometry import MAX_STAGE, Point2
-from comolift.io import write_atoms_csv
-from comolift.lifting import SamplePair
+from comolift.io import ingest_atoms, write_atoms_csv, write_samples_csv
+from comolift.lifting import SamplePair, lift, sample_lift
 
 
 def random_model(n, seed):
@@ -441,6 +444,58 @@ def test_cli_bytes_do_not_depend_on_the_write_slice(tmp_path, capsys, monkeypatc
     # and 7 rows every table crosses slice boundaries.
     monkeypatch.setattr(comolift_io, "_WRITE_ROWS", rows)
     assert _cli_digests(tmp_path, capsys) == _CLI_DIGESTS
+
+
+@pytest.mark.parametrize("draws", [7, 1000])
+def test_cli_bytes_do_not_depend_on_the_draw_chunk(tmp_path, capsys, monkeypatch, draws):
+    # The pinned sample run makes 3000 draws, inside one default chunk; at 7
+    # and 1000 draws per chunk it crosses chunk and write-slice boundaries.
+    monkeypatch.setattr(cli, "_DRAW_CHUNK", draws)
+    assert _cli_digests(tmp_path, capsys) == _CLI_DIGESTS
+
+
+@given(chunk=st.integers(1, 40), full=st.integers(1, 3), rest=st.integers(0, 39), seed=st.integers(0, 2**64))
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_chunked_sample_equals_the_whole_run(tmp_path, monkeypatch, chunk, full, rest, seed):
+    count = full * chunk + rest % chunk
+    atoms, out, whole = tmp_path / "atoms.csv", tmp_path / "out.csv", tmp_path / "whole.csv"
+    if not atoms.exists():
+        write_atoms_csv(random_model(12, seed=4), atoms)
+    monkeypatch.setattr(cli, "_DRAW_CHUNK", chunk)
+    assert main(["sample", "--input", str(atoms), "--output", str(out),
+                 "--samples", str(count), "--seed", str(seed)]) == 0
+    model = ingest_atoms(atoms)
+    write_samples_csv(sample_lift(model, lift(model), count, seed), whole)
+    assert out.read_bytes() == whole.read_bytes()
+
+
+@pytest.mark.parametrize("draws", [5000, 10])
+def test_sample_formats_each_branch_point_once(tmp_path, monkeypatch, draws):
+    # Only u is new per draw: N draws may format at most N floats plus the x
+    # and y of each law branch they emit, once.
+    atoms, out = tmp_path / "atoms.csv", tmp_path / "samples.csv"
+    write_atoms_csv(random_model(50, seed=6), atoms)
+    branches = lift(ingest_atoms(atoms)).x.size
+    calls, format_float = [], comolift_io.format_float
+
+    def counting(value):
+        calls.append(value)
+        return format_float(value)
+
+    monkeypatch.setattr(comolift_io, "format_float", counting)
+    assert main(["sample", "--input", str(atoms), "--output", str(out), "--samples", str(draws)]) == 0
+    assert draws <= len(calls) <= draws + 2 * min(draws, branches)
+    assert len(out.read_text().splitlines()) == draws + 1
+
+
+def test_sample_law_mismatch_leaves_no_output(tmp_path, capsys, monkeypatch):
+    atoms, out = tmp_path / "atoms.csv", tmp_path / "samples.csv"
+    write_atoms_csv(random_model(4, seed=1), atoms)
+    other = lift(random_model(5, seed=2))
+    monkeypatch.setattr(cli, "lift", lambda model: other)
+    assert main(["sample", "--input", str(atoms), "--output", str(out), "--samples", "10"]) == 3
+    assert "law atoms do not match model atoms" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_no_accepted_row_takes_the_cell_walk(tmp_path, capsys, monkeypatch):

@@ -253,6 +253,29 @@ def test_atom_keyed_writers_refuse_unsafe_ids_before_opening(tmp_path, bad_id):
         assert not p.exists()
 
 
+@pytest.mark.parametrize("bad_id", ["a\rb", "a\x85b", "a\u2028b", " a"])
+def test_atom_keyed_writers_refuse_ids_that_do_not_read_back(tmp_path, bad_id):
+    # The reader splits lines with str.splitlines and strips every cell, so
+    # such an id would split its row or come back changed.
+    m = FiltrationModel.from_columns([bad_id, "b"], [0.5, 0.5], [0.0, 1.0], [0.0, 2.0])
+    law = lift(m)
+    for writer, table in ((write_atoms_csv, m), (write_law_csv, law),
+                          (write_samples_csv, sample_lift(m, law, 3, seed=1))):
+        p = tmp_path / f"{writer.__name__}.csv"
+        with pytest.raises(InputFormatError, match="would not read back"):
+            writer(table, p)
+        assert not p.exists()
+
+
+def test_reader_errors_spell_the_path_as_given(tmp_path, monkeypatch):
+    # File-level and row-level messages name the file the same way.
+    monkeypatch.chdir(tmp_path)
+    for body, line in (("a,1,0,0\nb,0\n", 3), ("a,1,0,0\nb,0,0,0\n", 3)):
+        Path("a.csv").write_text("atom_id,weight,f,g\n" + body)
+        with pytest.raises(InputFormatError, match=rf"^\./a\.csv:{line}: "):
+            ingest_atoms("./a.csv")
+
+
 def test_atom_keyed_writers_refuse_empty_ids_before_opening(tmp_path):
     # The readers refuse an empty id, so the writers must not write one.
     m = FiltrationModel.from_columns(["", "b"], [0.5, 0.5], [0.0, 1.0], [0.0, 2.0])

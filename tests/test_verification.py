@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from comolift.decomposition import decompose
 from comolift.errors import InvalidInputError
 from comolift.filtration import Atom, FiltrationModel
-from comolift.geometry import Point2, curve_segments, gauge
+from comolift import verification
+from comolift.geometry import MAX_STAGE, Point2, curve_distance_batch, curve_segments, gauge
 from comolift.lifting import LiftedLaw, lift
 from comolift.verification import (
     check_comonotone_pairwise,
@@ -270,6 +271,20 @@ def test_verify_fails_off_curve_point():
     rep = verify_model(m, bad, mc_samples=0, seed=1, tol=1e-9)
     assert not rep.overall_pass
     assert not row(rep, "branch_points_on_curve").passed
+
+
+def test_curve_row_over_slices_equals_the_unsliced_statistic(monkeypatch):
+    # Slices of 3 points over 7 atoms' branches; the worst point is the last
+    # atom's first branch, in the last slice.
+    m = model_of([(float(k), 0.5 * k - 1.0) for k in range(7)])
+    law = lift(m)
+    (l1, e1), *rest = law.branches["m6"]
+    bad = _tamper(law, "m6", ((l1, Point2(e1.x + 1e-3, e1.y)), *rest))
+    assert bad.x.size > 3 and bad.x.size - 3 <= int(np.argmax(bad.x == e1.x + 1e-3))
+    monkeypatch.setattr(verification, "_CURVE_SLICE", 3)
+    stat = row(verify_model(m, bad, mc_samples=0, seed=1, tol=1e-9), "branch_points_on_curve").statistic
+    assert stat > 1e-9
+    assert stat == float(curve_distance_batch(bad.x, bad.y, MAX_STAGE).max())
 
 
 def test_verify_catches_slide_along_vertical_side():
