@@ -31,10 +31,6 @@ from .verification import verify_model
 
 __all__ = ["RunConfig", "parse_args", "run", "main"]
 
-#: Draws made and written at a time by ``sample``, so its memory does not grow
-#: with --samples; the bytes do not depend on it.
-_DRAW_CHUNK = 65_536
-
 
 @dataclass(frozen=True, slots=True)
 class RunConfig:
@@ -155,8 +151,7 @@ def run(config: RunConfig, out=None) -> int:
         if config.command == "lift":
             write_law_csv(law, config.output_path)
         else:
-            chunks = sample_chunks(model, law, config.samples, config.seed, _DRAW_CHUNK)
-            write_samples_csv(chunks, config.output_path)
+            write_samples_csv(sample_chunks(model, law, config.samples, config.seed), config.output_path)
         return 0
 
     if config.command in ("verify", "demo"):

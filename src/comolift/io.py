@@ -25,9 +25,11 @@ every CSV input row, and one table writer lays out every CSV output row.
 The writer takes plain columns, formatted cell by cell, and coded columns:
 a list of cells and one code per row, so a value that repeats is formatted
 once.  A sample row's atom id is coded by its atom index, and its xi,eta
-pair by its law branch: each branch point is formatted at most once per run.  Samples
-may arrive in chunks: the writer opens its file once and streams every
-chunk into it, so no more than one chunk of draws is held at a time.
+pair by its law branch: each branch point is formatted at most once per
+run, when a draw first emits it, and kept until the run ends.  Samples may
+arrive in chunks: the writer opens its file once and streams every chunk
+into it, so no more than one chunk of draws is held at a time, beside the
+cells of the distinct branches drawn so far (at most two per atom).
 
 Reports serialize two ways: a flat key=value text block (summary fields
 first, then per-check statistic/threshold/pass triples) and CSV rows
@@ -276,8 +278,9 @@ def write_samples_csv(samples: Samples | Iterable[Samples], path: str | Path) ->
     order, such as :func:`~comolift.lifting.sample_chunks` yields: they share
     the first chunk's ids and law columns, and only one is held at a time.
     The ids are checked before the file is opened.  A law branch's point is
-    formatted once, when a draw first emits it, so a short run from a large
-    law formats no more points than it makes draws.
+    formatted once, when a draw first emits it, and its cell kept for the
+    rest of the run: a run formats and keeps no more points than the
+    distinct branches it draws, which pays off when draws repeat branches.
     """
     chunks = iter((samples,) if isinstance(samples, Samples) else samples)
     head = next(chunks, None)

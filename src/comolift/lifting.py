@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
+from itertools import chain
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -59,6 +60,10 @@ __all__ = [
 ]
 
 Branches = tuple[tuple[float, Point2], ...]
+
+#: Draws per :class:`Samples` that :func:`sample_chunks` yields, so a streamed
+#: run holds one chunk of draws at a time; the draws do not depend on it.
+_DRAW_CHUNK = 65_536
 
 
 class LiftedLaw:
@@ -280,17 +285,20 @@ def sample_lift(model: FiltrationModel, law: LiftedLaw, count: int, seed: int) -
     return _draw(model, law, sample_table(model, law), count, seed, 0)
 
 
-def sample_chunks(model: FiltrationModel, law: LiftedLaw, count: int, seed: int,
-                  chunk: int) -> Iterator[Samples]:
+def sample_chunks(model: FiltrationModel, law: LiftedLaw, count: int, seed: int) -> Iterator[Samples]:
     """The draws of ``sample_lift(model, law, count, seed)`` as consecutive
-    :class:`Samples` of at most ``chunk`` draws, each drawn when it is reached.
+    :class:`Samples` of at most ``_DRAW_CHUNK`` draws.
 
-    The table is built, and a law that does not match the model refused, on
-    the call, before any draw.
+    The table and the first chunk are made on the call, so a law that does not
+    match the model, or a count or seed that ``sample_lift`` refuses, raises
+    before anything is written; each later chunk is drawn when it is reached.
     """
+    if not isinstance(count, int) or count < 0:
+        raise InvalidInputError(f"count must be a nonnegative int, got {count!r}")
     table = sample_table(model, law)
-    return (_draw(model, law, table, min(chunk, count - start), seed, start)
-            for start in range(0, count, chunk))
+    head = _draw(model, law, table, min(_DRAW_CHUNK, count), seed, 0)
+    return chain((head,), (_draw(model, law, table, min(_DRAW_CHUNK, count - start), seed, start)
+                           for start in range(_DRAW_CHUNK, count, _DRAW_CHUNK)))
 
 
 def norm_bound_columns(model: FiltrationModel, law: LiftedLaw) -> tuple[np.ndarray, np.ndarray]:

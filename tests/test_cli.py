@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from comolift import cli
 from comolift import io as comolift_io
+from comolift import lifting
 from comolift.cli import RunConfig, main, parse_args, run
 from comolift.filtration import Atom, FiltrationModel
 from comolift.geometry import MAX_STAGE, Point2
@@ -450,7 +451,7 @@ def test_cli_bytes_do_not_depend_on_the_write_slice(tmp_path, capsys, monkeypatc
 def test_cli_bytes_do_not_depend_on_the_draw_chunk(tmp_path, capsys, monkeypatch, draws):
     # The pinned sample run makes 3000 draws, inside one default chunk; at 7
     # and 1000 draws per chunk it crosses chunk and write-slice boundaries.
-    monkeypatch.setattr(cli, "_DRAW_CHUNK", draws)
+    monkeypatch.setattr(lifting, "_DRAW_CHUNK", draws)
     assert _cli_digests(tmp_path, capsys) == _CLI_DIGESTS
 
 
@@ -461,7 +462,7 @@ def test_chunked_sample_equals_the_whole_run(tmp_path, monkeypatch, chunk, full,
     atoms, out, whole = tmp_path / "atoms.csv", tmp_path / "out.csv", tmp_path / "whole.csv"
     if not atoms.exists():
         write_atoms_csv(random_model(12, seed=4), atoms)
-    monkeypatch.setattr(cli, "_DRAW_CHUNK", chunk)
+    monkeypatch.setattr(lifting, "_DRAW_CHUNK", chunk)
     assert main(["sample", "--input", str(atoms), "--output", str(out),
                  "--samples", str(count), "--seed", str(seed)]) == 0
     model = ingest_atoms(atoms)

@@ -17,6 +17,7 @@ from comolift.lifting import (
     SamplePair,
     lift,
     lifted_norm_bound,
+    sample_chunks,
     sample_lift,
     sample_lift_arrays,
 )
@@ -186,6 +187,18 @@ def test_law_model_mismatch_raises():
         sample_lift(other, law, 10, seed=1)
     with pytest.raises(InvalidInputError):
         lifted_norm_bound(other, law)
+
+
+@pytest.mark.parametrize("count, seed", [(-1, 0), (2.0, 0), ("3", 0), (0, 1.5), (3, None)])
+def test_sample_chunks_refuses_on_the_call_what_sample_lift_refuses(count, seed):
+    # The chunks are drawn lazily, but their arguments are checked at once.
+    m = demo_model()
+    law = lift(m)
+    with pytest.raises(InvalidInputError) as whole:
+        sample_lift(m, law, count, seed)
+    with pytest.raises(InvalidInputError) as chunked:
+        sample_chunks(m, law, count, seed)
+    assert str(chunked.value) == str(whole.value)
 
 
 def test_lifted_law_shape_validation():
