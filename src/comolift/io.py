@@ -275,18 +275,16 @@ def write_samples_csv(samples: Samples | Iterable[Samples], path: str | Path) ->
     """One row per draw, ``sample_id`` counting from each chunk's ``start``.
 
     ``samples`` is one :class:`Samples` or the chunks of one run in draw
-    order, such as :func:`~comolift.lifting.sample_chunks` yields: they share
-    the first chunk's ids and law columns, and only one is held at a time.
+    order, one or more, such as :func:`~comolift.lifting.sample_chunks`
+    yields: they share the first chunk's ids and law columns, and only one
+    is held at a time.
     The ids are checked before the file is opened.  A law branch's point is
     formatted once, when a draw first emits it, and its cell kept for the
     rest of the run: a run formats and keeps no more points than the
     distinct branches it draws, which pays off when draws repeat branches.
     """
     chunks = iter((samples,) if isinstance(samples, Samples) else samples)
-    head = next(chunks, None)
-    if head is None:
-        _write_csv(path, _SAMPLES_HEADER, ())
-        return
+    head = next(chunks)
     _require_good_ids(head.ids)
     points = [""] * head.x.size  # branch b's "x,y" cell, once a draw has emitted b
     pending = np.ones(head.x.size, dtype=bool)
