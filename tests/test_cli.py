@@ -470,10 +470,11 @@ def test_chunked_sample_equals_the_whole_run(tmp_path, monkeypatch, chunk, full,
     assert out.read_bytes() == whole.read_bytes()
 
 
-@pytest.mark.parametrize("draws", [5000, 10])
-def test_sample_formats_each_branch_point_once(tmp_path, monkeypatch, draws):
+@pytest.mark.parametrize("draws, chunk", [(5000, lifting._DRAW_CHUNK), (10, lifting._DRAW_CHUNK), (5000, 7)])
+def test_sample_formats_each_branch_point_once(tmp_path, monkeypatch, draws, chunk):
     # Only u is new per draw: N draws may format at most N floats plus the x
-    # and y of each law branch they emit, once.
+    # and y of each law branch they emit, once per run, not once per chunk.
+    monkeypatch.setattr(lifting, "_DRAW_CHUNK", chunk)
     atoms, out = tmp_path / "atoms.csv", tmp_path / "samples.csv"
     write_atoms_csv(random_model(50, seed=6), atoms)
     branches = lift(ingest_atoms(atoms)).x.size
