@@ -11,8 +11,8 @@ averaging back to the original payoffs.
 x, y) with each atom's branches contiguous, plus the atom ids in law order.
 The ``(prob, Point2)`` mapping ``branches``, ``mean``, ``support_points``
 and :func:`lifted_norm_bound` are views of those columns, and the mapping is
-only built when asked for.  :func:`align_law` matches a law to a model's atom
-order; it owns the check that both hold the same atoms.
+only built when asked for.  :func:`align_law` returns a law in a model's atom
+order; it owns the check that the law holds each model atom once.
 
 ``sample_lift`` realizes the law through the model's (atom, u) stream: the
 sample emits the first branch when u <= (first branch probability), so for a
@@ -32,7 +32,8 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from itertools import chain
+from collections import Counter
+from itertools import chain, repeat
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -205,20 +206,23 @@ class NormBoundRow(NamedTuple):
     margin: float
 
 
-def align_law(model: FiltrationModel, law: LiftedLaw) -> np.ndarray:
-    """Position in the law of every model atom, in model order.
-
-    Raises unless the law and the model hold the same atom ids.
-    """
+def align_law(model: FiltrationModel, law: LiftedLaw) -> LiftedLaw:
+    """``law`` with its atoms in model order: ``law`` itself when they already
+    are, else a copy that keeps each atom's branches in their order.  Raises
+    unless the law's atom ids are the model's, each once."""
     ids, law_ids = model.ids(), law.atom_ids()
     if ids == law_ids:
-        return np.arange(len(ids))
-    if set(ids) != set(law_ids):
-        raise InvalidInputError(
-            f"law atoms do not match model atoms: missing {sorted(set(ids) - set(law_ids))!r}, "
-            f"extra {sorted(set(law_ids) - set(ids))!r}"
+        return law
+    rank = np.fromiter(map(model._index.get, law_ids, repeat(-1)), dtype=np.int64, count=len(law_ids))
+    if not np.array_equal(np.sort(rank), np.arange(len(ids))):
+        raise InvalidInputError(  # a repeated id counts as extra
+            f"law atoms do not match model atoms: missing {sorted((Counter(ids) - Counter(law_ids)).elements())!r}, "
+            f"extra {sorted((Counter(law_ids) - Counter(ids)).elements())!r}"
         )
-    return np.fromiter(map(law._position.__getitem__, ids), dtype=np.int64, count=len(ids))
+    order = np.argsort(rank[law.owner], kind="stable")
+    aligned = LiftedLaw.__new__(LiftedLaw)
+    aligned._init(ids, rank[law.owner[order]], law.prob[order], law.x[order], law.y[order])
+    return aligned
 
 
 def lift(model: FiltrationModel) -> LiftedLaw:
@@ -245,8 +249,8 @@ def sample_table(model: FiltrationModel, law: LiftedLaw) -> tuple[np.ndarray, np
     columns, and a draw takes the first branch when u <= threshold.  A
     single-branch atom has first == last and threshold 1.
     """
-    position = align_law(model, law)
-    first, last = (ends[position] for ends in law.ends())
+    law = align_law(model, law)
+    first, last = law.ends()
     wide = last - first > 1
     if np.any(wide):
         atom_id = model.ids()[int(np.argmax(wide))]
@@ -271,6 +275,7 @@ def sample_lift_arrays(
     model: FiltrationModel, law: LiftedLaw, count: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized sampler: (atom_index, u, xi, eta, took_first_branch)."""
+    law = align_law(model, law)
     table = sample_table(model, law)
     s = _draw(model, law, table, count, seed, 0)
     return s.idx, s.u, s.xi, s.eta, s.branch == table[1][s.idx]
@@ -282,6 +287,7 @@ def sample_lift(model: FiltrationModel, law: LiftedLaw, count: int, seed: int) -
     Every emitted (xi, eta) is bit-identical to one of its atom's branch
     points; the (atom, u) stream matches ``sample_u`` for the same seed.
     """
+    law = align_law(model, law)
     return _draw(model, law, sample_table(model, law), count, seed, 0)
 
 
@@ -295,6 +301,7 @@ def sample_chunks(model: FiltrationModel, law: LiftedLaw, count: int, seed: int)
     """
     if not isinstance(count, int) or count < 0:
         raise InvalidInputError(f"count must be a nonnegative int, got {count!r}")
+    law = align_law(model, law)
     table = sample_table(model, law)
     head = _draw(model, law, table, min(_DRAW_CHUNK, count), seed, 0)
     return chain((head,), (_draw(model, law, table, min(_DRAW_CHUNK, count - start), seed, start)
@@ -304,9 +311,8 @@ def sample_chunks(model: FiltrationModel, law: LiftedLaw, count: int, seed: int)
 def norm_bound_columns(model: FiltrationModel, law: LiftedLaw) -> tuple[np.ndarray, np.ndarray]:
     """Per model atom, in model order: worst branch gauge and its ceiling
     max(2 * gauge(payoff), 1)."""
-    position = align_law(model, law)
-    first, _ = law.ends()
-    worst = np.maximum.reduceat(gauge_batch(law.x, law.y), first)[position]
+    law = align_law(model, law)
+    worst = np.maximum.reduceat(gauge_batch(law.x, law.y), law.ends()[0])
     return worst, np.maximum(2.0 * gauge_batch(model.f, model.g), 1.0)
 
 
