@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from comolift import io as comolift_io
@@ -563,3 +563,91 @@ def test_read_law_csv_agrees_with_the_row_by_row_oracle(tmp_path, built):
     assert got.atom_ids() == want.atom_ids()
     for a, b in ((got.owner, want.owner), (got.prob, want.prob), (got.x, want.x), (got.y, want.y)):
         assert a.tobytes() == b.tobytes()
+
+
+_any_float = st.floats(allow_nan=False, allow_infinity=False)  # subnormals and both zeros included
+_any_ids = st.lists(st.text(max_size=4), min_size=1, max_size=4, unique=True)
+# NUL, a byte-order mark, a zero-width space and a unit separator are ids like any other.
+_odd_ids = ["a\x00", "\ufeffb", "c\u200b", "d\x1fe"]
+
+
+@given(ids=_any_ids, data=st.data())
+@example(ids=_odd_ids, data=None)
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_a_written_atoms_file_reads_back_or_is_refused(tmp_path, ids, data):
+    n = len(ids)
+    if data is None:
+        raw, f, g = [1.0] * n, [0.0, -0.0, 5e-324, -1.7e308][:n], [1e300, 0.1, -2.5, 7.0][:n]
+    else:
+        raw = data.draw(st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=n, max_size=n))
+        f, g = (data.draw(st.lists(_any_float, min_size=n, max_size=n)) for _ in range(2))
+    weights = np.array(raw) / math.fsum(raw)
+    assume(np.all(weights > 0.0))
+    m = FiltrationModel.from_columns(ids, weights, f, g)
+    p = tmp_path / "atoms.csv"
+    p.unlink(missing_ok=True)
+    try:
+        write_atoms_csv(m, p)
+    except InputFormatError:
+        assert not p.exists()
+        assert data is not None
+        return
+    again = ingest_atoms(p)
+    assert again.ids() == tuple(ids)
+    assert again.weights().tolist() == (m.weights() / math.fsum(m.weights().tolist())).tolist()
+    assert again.f.tolist() == f and again.g.tolist() == g
+
+
+@given(ids=_any_ids, data=st.data())
+@example(ids=_odd_ids, data=None)
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_a_written_law_file_reads_back_or_is_refused(tmp_path, ids, data):
+    n = len(ids)
+    if data is None:
+        single, lam = [True, False, False, True], [1.0, 0.25, 5e-324, 0.0]
+        points = [[-4.0, -3.0, 8.0, 8.0], [-0.0, 1e300, 2.0, -2.0], [1.0, 2.0, 3.0, 4.0], [8.0, 8.0, 8.0, 8.0]]
+        single, lam, points = single[:n], lam[:n], points[:n]
+    else:
+        single = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        lam = data.draw(st.lists(_any_float, min_size=n, max_size=n))
+        points = data.draw(st.lists(st.lists(_any_float, min_size=4, max_size=4), min_size=n, max_size=n))
+        # A two-branch atom whose points are equal, half the time.
+        points = [p[:2] * 2 if data.draw(st.booleans()) else p for p in points]
+    x1, y1, x2, y2 = np.array(points).reshape(n, 4).T
+    keep = np.column_stack((np.ones(n, bool), ~np.array(single)))
+    prob = np.column_stack((np.where(single, 1.0, lam), 1.0 - np.array(lam)))
+    law = LiftedLaw.from_pairs(ids, keep, prob, np.column_stack((x1, x2)), np.column_stack((y1, y2)))
+    p = tmp_path / "law.csv"
+    p.unlink(missing_ok=True)
+    try:
+        write_law_csv(law, p)
+    except InputFormatError:
+        assert not p.exists()
+        assert data is not None
+        return
+    again = read_law_csv(p)
+    assert again.atom_ids() == tuple(ids)
+    # The reader's documented collapse: a row with equal points and lambda
+    # exactly 0 or 1 is one branch of probability 1, so such a two-branch
+    # atom comes back as its first point alone.
+    expected = {}
+    for i, atom_id in enumerate(ids):
+        b1, b2 = Point2(x1[i], y1[i]), Point2(x2[i], y2[i])
+        if single[i] or (b1 == b2 and lam[i] in (0.0, 1.0)):
+            expected[atom_id] = ((1.0, b1),)
+        else:
+            expected[atom_id] = ((lam[i], b1), (1.0 - lam[i], b2))
+    assert again.branches == expected
+
+
+def test_negative_zero_is_written_as_0_and_reads_back_as_positive_zero(tmp_path):
+    m = FiltrationModel.from_columns(["a"], [1.0], [-0.0], [0.0])
+    p = tmp_path / "atoms.csv"
+    write_atoms_csv(m, p)
+    assert p.read_text() == "atom_id,weight,f,g\na,1,0,0\n"
+    again = ingest_atoms(p)
+    assert again.f[0] == -0.0 and math.copysign(1.0, again.f[0]) == 1.0
+    law = LiftedLaw({"a": ((1.0, Point2(-0.0, -0.0)),)})
+    write_law_csv(law, p)
+    assert p.read_text() == "atom_id,lambda,u1,v1,u2,v2\na,0,0,0,0,0\n"
+    assert math.copysign(1.0, read_law_csv(p).x[0]) == 1.0

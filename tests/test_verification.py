@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from comolift.decomposition import decompose
 from comolift.errors import InvalidInputError
 from comolift.filtration import Atom, FiltrationModel
-from comolift import verification
+from comolift import lifting, verification
 from comolift.geometry import MAX_STAGE, Point2, curve_distance_batch, curve_segments, gauge
 from comolift.lifting import LiftedLaw, lift
 from comolift.verification import (
@@ -418,3 +418,178 @@ def test_pairwise_row_sees_every_point_of_a_large_law():
     assert brute < -1e-9
     assert not row(rep, "comonotone_pairwise").passed
     assert row(rep, "comonotone_pairwise").statistic == brute
+
+
+def test_verify_refuses_a_law_that_repeats_an_atom_id():
+    # The law holds b twice.  Its last copy is b's lifted law; its first copy
+    # slides 1 down both vertical sides, so its points stay on the curve and
+    # comonotone with the rest, but it averages to (0, -1), not to b's payoff.
+    # Per-atom rows that read one copy of b would pass this law.
+    m = FiltrationModel([Atom("a", 0.5, Point2(8.0, 8.0)), Atom("b", 0.5, Point2(0.0, 0.0))])
+    keep = np.array([[True, False], [True, True], [True, True]])
+    law = LiftedLaw.from_pairs(["a", "b", "b"], keep, np.array([[1.0, 0.0], [0.5, 0.5], [0.5, 0.5]]),
+                               np.array([[8.0, 8.0], [-4.0, 4.0], [-4.0, 4.0]]),
+                               np.array([[8.0, 8.0], [-4.0, 2.0], [-3.0, 3.0]]))
+    assert law.branches == lift(m).branches  # the mapping view keeps the last copy
+    repeated = r"law atoms do not match model atoms: missing \[\], extra \['b'\]"
+    for mc_samples in (0, 100):
+        with pytest.raises(InvalidInputError, match=repeated):
+            verify_model(m, law, mc_samples=mc_samples)
+    with pytest.raises(InvalidInputError, match=repeated):
+        lifting.sample_lift(m, law, 10, seed=1)
+    with pytest.raises(InvalidInputError, match=repeated):
+        lifting.lifted_norm_bound(m, law)
+
+
+_align_coord = st.one_of(
+    finite_coord,
+    st.sampled_from([0.0, -0.0, 4.0, -4.0, 1e300, -1e300, 2.0 ** 1018, -(2.0 ** 1018)]),
+)
+_align_prob = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, -0.0, 0.5, 1.0]))
+
+
+@st.composite
+def _law_and_shuffled_copy(draw):
+    """A model, a law in its atom order, and the same law with its atom rows
+    permuted: lifted laws (single-branch atoms among them) and laws of 1 to 3
+    branches per atom from the mapping constructor."""
+    coords = draw(st.lists(st.tuples(_align_coord, _align_coord), min_size=1, max_size=6))
+    m = model_of(coords)
+    if draw(st.booleans()):
+        branches = lift(m).branches
+    else:
+        point = st.builds(Point2, _align_coord, _align_coord)
+        branch = st.tuples(_align_prob, point)
+        branches = {i: tuple(draw(st.lists(branch, min_size=1, max_size=3))) for i in m.ids()}
+    order = draw(st.permutations(m.ids()))
+    return m, LiftedLaw(branches), LiftedLaw({i: branches[i] for i in order})
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except InvalidInputError as exc:
+        return repr(exc)
+
+
+def _same(a, b) -> bool:
+    if isinstance(a, float) and isinstance(b, float):
+        return a == b or (math.isnan(a) and math.isnan(b))
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    if isinstance(a, (tuple, list)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(_same, a, b))
+    return a == b
+
+
+@given(case=_law_and_shuffled_copy(), mc_samples=st.sampled_from([0, 40]))
+@settings(max_examples=300, deadline=None)
+def test_verify_reads_a_shuffled_law_as_the_law_in_model_order(case, mc_samples):
+    m, law, shuffled = case
+    reports = [_outcome(verify_model, m, given, mc_samples, 7) for given in (law, shuffled)]
+    if isinstance(reports[0], str):
+        assert reports[0] == reports[1]
+    else:
+        assert _same(tuple(reports[0].rows()), tuple(reports[1].rows()))
+        assert _same(reports[0].cond_exp_max_residual, reports[1].cond_exp_max_residual)
+        assert reports[0].overall_pass == reports[1].overall_pass
+
+
+@given(case=_law_and_shuffled_copy(), count=st.integers(0, 30))
+@settings(max_examples=300, deadline=None)
+def test_samplers_read_a_shuffled_law_as_the_law_in_model_order(case, count):
+    m, law, shuffled = case
+    draws, arrays, chunks, bounds = [], [], [], []
+    for given in (law, shuffled):
+        s = _outcome(lifting.sample_lift, m, given, count, 5)
+        draws.append(s if isinstance(s, str) else (s.idx, s.u, s.xi, s.eta))
+        arrays.append(_outcome(lifting.sample_lift_arrays, m, given, count, 5))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lifting, "_DRAW_CHUNK", 7)
+            run = _outcome(lifting.sample_chunks, m, given, count, 5)
+            chunks.append(run if isinstance(run, str) else [(c.start, c.idx, c.u, c.xi, c.eta) for c in run])
+        rows = _outcome(lifting.lifted_norm_bound, m, given)
+        bounds.append(rows if isinstance(rows, str) else [tuple(r) for r in rows.values()])
+    for left, right in (draws, arrays, chunks, bounds):
+        assert _same(left, right)
+
+
+def test_verify_aligns_a_shuffled_law_once(monkeypatch):
+    m = model_of([(0.0, 0.0), (8.0, 8.0), (-17.0, 3.0), (2.4, 1.8), (-3.0, 0.5)])
+    law = lift(m)
+    shuffled = LiftedLaw({i: law.branches[i] for i in reversed(m.ids())})
+    real = lifting.align_law
+    calls, permuting = [], []
+
+    def counting(model, given):
+        aligned = real(model, given)
+        calls.append(1)
+        if aligned is not given:
+            permuting.append(1)
+        return aligned
+
+    monkeypatch.setattr(lifting, "align_law", counting)
+    monkeypatch.setattr(verification, "align_law", counting)
+    for mc_samples in (0, 1000):
+        for given, expected in ((law, 0), (shuffled, 1)):
+            calls.clear()
+            permuting.clear()
+            verify_model(m, given, mc_samples=mc_samples)
+            assert len(permuting) == expected
+            assert len(calls) >= (2 if mc_samples == 0 else 4)
+
+
+def _power_case():
+    # Atom p lifts to lambda 0.2, so its first branch fires on one draw in five.
+    m = FiltrationModel([Atom("p", 0.5, Point2(2.4, 1.8)), Atom("q", 0.5, Point2(-3.0, 0.5))])
+    law = lift(m)
+    assert law.branches["p"][0][0] == 0.2 and len(law.branches["q"]) == 2
+    return m, law
+
+
+def _mc_rows(m, law):
+    return {r.name: r for r in verify_model(m, law, mc_samples=20_000, seed=3).mc_checks}
+
+
+def test_mc_rows_fail_a_sampler_that_flips_one_atoms_branch_choice(monkeypatch):
+    m, law = _power_case()
+    clean = _mc_rows(m, law)
+    assert all(r.passed for r in clean.values())
+    real = lifting.sample_branch
+
+    def flipped(table, idx, u):
+        branch = real(table, idx, u)
+        # table[1] and table[2] are each atom's first and last branch.
+        return np.where(idx == 0, table[1][idx] + table[2][idx] - branch, branch)
+
+    monkeypatch.setattr(lifting, "sample_branch", flipped)
+    bad = _mc_rows(m, law)
+    assert bad["sampler_support_exact"].passed
+    for name in ("sampler_branch_freq", "sampler_mean"):
+        assert not bad[name].passed
+        assert bad[name].statistic > 20.0 * clean[name].statistic
+
+
+def test_mc_rows_fail_a_sampler_that_emits_another_atoms_branch(monkeypatch):
+    m, law = _power_case()
+    real = lifting.sample_branch
+
+    def borrowed(table, idx, u):
+        return np.where(idx == 0, table[1][1], real(table, idx, u))
+
+    monkeypatch.setattr(lifting, "sample_branch", borrowed)
+    assert not _mc_rows(m, law)["sampler_support_exact"].passed
+
+
+def test_mc_rows_fail_a_sampler_that_biases_the_atom_choice(monkeypatch):
+    m, law = _power_case()
+    real = lifting.sample_u_arrays
+
+    def biased(*args):
+        idx, u = real(*args)
+        idx = idx.copy()
+        idx[::4] = 0  # atom p gets about 5/8 of the draws instead of 1/2
+        return idx, u
+
+    monkeypatch.setattr(lifting, "sample_u_arrays", biased)
+    assert not _mc_rows(m, law)["sampler_atom_freq"].passed
