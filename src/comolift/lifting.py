@@ -31,8 +31,8 @@ be handed to the verifier to judge.
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from collections import Counter
+from functools import cached_property
 from itertools import chain, repeat
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
@@ -245,9 +245,9 @@ def lift(model: FiltrationModel) -> LiftedLaw:
 def sample_table(model: FiltrationModel, law: LiftedLaw) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per model atom, in model order: (threshold, first, last).
 
-    ``first`` and ``last`` index the atom's first and last branch in the law's
-    columns, and a draw takes the first branch when u <= threshold.  A
-    single-branch atom has first == last and threshold 1.
+    ``first`` and ``last`` index the atom's first and last branch in the
+    columns of ``align_law(model, law)``, and a draw takes the first branch
+    when u <= threshold.  A single-branch atom has first == last and threshold 1.
     """
     law = align_law(model, law)
     first, last = law.ends()
