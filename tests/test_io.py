@@ -571,16 +571,20 @@ _any_ids = st.lists(st.text(max_size=4), min_size=1, max_size=4, unique=True)
 _odd_ids = ["a\x00", "\ufeffb", "c\u200b", "d\x1fe"]
 
 
-@given(ids=_any_ids, data=st.data())
-@example(ids=_odd_ids, data=None)
-@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_a_written_atoms_file_reads_back_or_is_refused(tmp_path, ids, data):
+@st.composite
+def _atoms_columns(draw):
+    ids = draw(_any_ids)
     n = len(ids)
-    if data is None:
-        raw, f, g = [1.0] * n, [0.0, -0.0, 5e-324, -1.7e308][:n], [1e300, 0.1, -2.5, 7.0][:n]
-    else:
-        raw = data.draw(st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=n, max_size=n))
-        f, g = (data.draw(st.lists(_any_float, min_size=n, max_size=n)) for _ in range(2))
+    raw = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=n, max_size=n))
+    f, g = (draw(st.lists(_any_float, min_size=n, max_size=n)) for _ in range(2))
+    return ids, raw, f, g
+
+
+@given(columns=_atoms_columns())
+@example(columns=(_odd_ids, [1.0] * 4, [0.0, -0.0, 5e-324, -1.7e308], [1e300, 0.1, -2.5, 7.0]))
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_a_written_atoms_file_reads_back_or_is_refused(tmp_path, columns):
+    ids, raw, f, g = columns
     weights = np.array(raw) / math.fsum(raw)
     assume(np.all(weights > 0.0))
     m = FiltrationModel.from_columns(ids, weights, f, g)
@@ -589,8 +593,7 @@ def test_a_written_atoms_file_reads_back_or_is_refused(tmp_path, ids, data):
     try:
         write_atoms_csv(m, p)
     except InputFormatError:
-        assert not p.exists()
-        assert data is not None
+        assert not p.exists() and ids != _odd_ids
         return
     again = ingest_atoms(p)
     assert again.ids() == tuple(ids)
@@ -598,21 +601,26 @@ def test_a_written_atoms_file_reads_back_or_is_refused(tmp_path, ids, data):
     assert again.f.tolist() == f and again.g.tolist() == g
 
 
-@given(ids=_any_ids, data=st.data())
-@example(ids=_odd_ids, data=None)
-@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_a_written_law_file_reads_back_or_is_refused(tmp_path, ids, data):
+@st.composite
+def _law_columns(draw):
+    """The laws a law row holds, since it stores lambda alone: one branch of
+    probability 1, or two of probabilities lambda and 1 - lambda, with lambda
+    any finite float and the two points equal half the time."""
+    ids = draw(_any_ids)
     n = len(ids)
-    if data is None:
-        single, lam = [True, False, False, True], [1.0, 0.25, 5e-324, 0.0]
-        points = [[-4.0, -3.0, 8.0, 8.0], [-0.0, 1e300, 2.0, -2.0], [1.0, 2.0, 3.0, 4.0], [8.0, 8.0, 8.0, 8.0]]
-        single, lam, points = single[:n], lam[:n], points[:n]
-    else:
-        single = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
-        lam = data.draw(st.lists(_any_float, min_size=n, max_size=n))
-        points = data.draw(st.lists(st.lists(_any_float, min_size=4, max_size=4), min_size=n, max_size=n))
-        # A two-branch atom whose points are equal, half the time.
-        points = [p[:2] * 2 if data.draw(st.booleans()) else p for p in points]
+    single = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    lam = draw(st.lists(_any_float, min_size=n, max_size=n))
+    points = draw(st.lists(st.lists(_any_float, min_size=4, max_size=4), min_size=n, max_size=n))
+    return ids, single, lam, [p[:2] * 2 if draw(st.booleans()) else p for p in points]
+
+
+@given(columns=_law_columns())
+@example(columns=(_odd_ids, [True, False, False, True], [1.0, 0.25, 5e-324, 0.0],
+                  [[-4.0, -3.0, 8.0, 8.0], [-0.0, 1e300, 2.0, -2.0], [1.0, 2.0, 3.0, 4.0], [8.0, 8.0, 8.0, 8.0]]))
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_a_written_law_file_reads_back_or_is_refused(tmp_path, columns):
+    ids, single, lam, points = columns
+    n = len(ids)
     x1, y1, x2, y2 = np.array(points).reshape(n, 4).T
     keep = np.column_stack((np.ones(n, bool), ~np.array(single)))
     prob = np.column_stack((np.where(single, 1.0, lam), 1.0 - np.array(lam)))
@@ -622,8 +630,7 @@ def test_a_written_law_file_reads_back_or_is_refused(tmp_path, ids, data):
     try:
         write_law_csv(law, p)
     except InputFormatError:
-        assert not p.exists()
-        assert data is not None
+        assert not p.exists() and ids != _odd_ids
         return
     again = read_law_csv(p)
     assert again.atom_ids() == tuple(ids)
