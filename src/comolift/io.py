@@ -20,7 +20,10 @@ line of the first row that breaks it; every atom-keyed writer checks the
 same rule before it opens its file, and also refuses an id that would not
 read back as written (surrounding whitespace, which the reader strips, or
 any line break that ``str.splitlines`` splits on).  One table reader parses
-every CSV input row, and one table writer lays out every CSV output row.
+every CSV input: plain text (no ``"`` and no line break but ``\n``, as in every
+file the writers write) in blocks of lines, and any other file, or one that
+breaks a rule, row by row, naming the first fault.  One table writer lays out
+every CSV output row.
 
 The writer takes plain columns, formatted cell by cell, and coded columns:
 a list of cells and one code per row, so a value that repeats is formatted
@@ -42,7 +45,7 @@ import csv
 import math
 import operator
 from pathlib import Path
-from itertools import chain
+from itertools import chain, repeat
 from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
@@ -77,6 +80,10 @@ _SAMPLES_HEADER = ["sample_id", "atom_id", "u", "xi", "eta"]
 _CURVE_HEADER = ["stage", "kind", "ax", "ay", "bx", "by"]
 #: Rows formatted and written per slice by the table writer; the bytes do not depend on it.
 _WRITE_ROWS = 4096
+#: Lines parsed per block by the table reader's bulk path; the table does not depend on it.
+_READ_ROWS = 4096
+#: A quote, and every line break of str.splitlines but "\n": text holding none is plain.
+_NOT_PLAIN = '"\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029'
 
 
 def format_float(value: float) -> str:
@@ -128,22 +135,59 @@ def _take_id(atom_id: str, seen: set[str], path: str, line: int) -> str:
 
 
 def _read_table(path: str | Path, header: list[str], positive: Sequence[str] = ()) -> tuple[list[str], np.ndarray]:
-    """The one row loop of every CSV reader: the ids, and a (k, n) array of the
-    other k columns, of which the ``positive`` ones must be > 0.  Every wrong field
-    count, then an empty table, is reported before the first row's id or value fault."""
+    """The one table reader of every CSV input: the ids, and a (k, n) array of the other
+    k columns, of which the ``positive`` ones must be > 0.  Plain text is read in blocks
+    of lines; any other text, and any that breaks a rule, by the row loop."""
     name = str(path)
     try:
-        lines = Path(path).read_bytes().decode("utf-8").splitlines()
+        text = Path(path).read_bytes().decode("utf-8")
     except OSError as exc:
         raise InputFormatError(f"cannot read {name}: {exc}") from exc
     except UnicodeDecodeError as exc:
         line = len((exc.object[:exc.start].decode("utf-8") + "x").splitlines())
         raise InputFormatError(f"{name}:{line}: not UTF-8 text ({exc.reason})") from None
+    plain = not any(map(text.__contains__, _NOT_PLAIN))
+    lines = text.splitlines()
+    del text
     if not lines:
         raise InputFormatError(f"{name}: empty file")
-    rows = csv.reader(lines)
     # low < v rules out nan, -inf, and v <= 0 where low is 0; +inf is ruled out apart.
     low = [0.0 if field in positive else -math.inf for field in header[1:]]
+    table = _read_blocks(lines, header, low) if plain else None
+    return _read_rows(lines, name, header, low) if table is None else table
+
+
+def _read_blocks(lines: list[str], header: list[str], low: list[float]) -> tuple[list[str], np.ndarray] | None:
+    """The table of plain lines, read ``_READ_ROWS`` at a time, or None when a
+    line breaks a rule of :func:`_read_rows`, which then reads every line."""
+    k, limit = len(header), csv.field_size_limit()
+    if len(lines) < 2 or list(map(str.strip, lines[0].split(","))) != header:
+        return None
+    ids: list[str] = []
+    table = np.empty((len(lines) - 1, k - 1))
+    for lo in range(1, len(lines), _READ_ROWS):
+        block = lines[lo:lo + _READ_ROWS]
+        # Exactly k - 1 commas and no oversize field: csv.reader splits the line as str.split does.
+        if list(map(str.count, block, repeat(","))).count(k - 1) != len(block) or max(map(len, block)) > limit:
+            return None
+        cells = ",".join(block).split(",")
+        ids += map(str.strip, cells[::k])
+        del cells[::k]
+        try:
+            values = np.fromiter(map(float, map(str.strip, cells)), np.float64, len(cells)).reshape(-1, k - 1)
+        except ValueError:
+            return None
+        if not np.all((low < values) & (values < math.inf)):
+            return None
+        table[lo - 1:lo - 1 + len(block)] = values
+    unique = set(ids)
+    return (ids, table.T) if len(unique) == len(ids) and "" not in unique else None
+
+
+def _read_rows(lines: list[str], name: str, header: list[str], low: list[float]) -> tuple[list[str], np.ndarray]:
+    """The row loop of every CSV reader.  Every wrong field count, then an empty
+    table, is reported before the first row's id or value fault."""
+    rows = csv.reader(lines)
     ids: list[str] = []
     seen: set[str] = set()
     flat: list[float] = []
@@ -206,12 +250,20 @@ class _Coded(NamedTuple):
     codes: np.ndarray
 
 
+def _float_cells(values: np.ndarray) -> list[str]:
+    """:func:`format_float` of each float64 value: ``repr``, but where a value is integral or infinite."""
+    cells = list(map(repr, values.tolist()))
+    for i in np.flatnonzero(values == np.trunc(values)).tolist():
+        cells[i] = format_float(values[i])
+    return cells
+
+
 def _cells(column: Sequence | _Coded, lo: int, hi: int) -> Iterable[str]:
     if isinstance(column, _Coded):  # a list zips faster than a lazy gather
         return list(map(column.cells.__getitem__, column.codes[lo:hi].tolist()))
     part = column[lo:hi]
     if isinstance(part, np.ndarray) and part.dtype == np.float64:
-        return map(format_float, part.tolist())
+        return _float_cells(part)
     return map(str, part)
 
 
@@ -240,7 +292,7 @@ def write_law_csv(law: LiftedLaw, path: str | Path) -> None:
     Two-branch atoms store lambda and both points.  Single-branch atoms
     repeat their point in both slots, with lambda 1 when the point sits on a
     negative vertical side (x < 0) and 0 otherwise.  A law that cannot be
-    written is rejected before the file is opened.
+    written, or not read back unchanged, is rejected before the file is opened.
     """
     ids = law.atom_ids()
     _require_good_ids(ids)
@@ -249,10 +301,18 @@ def write_law_csv(law: LiftedLaw, path: str | Path) -> None:
     if np.any(wide):
         i = int(np.argmax(wide))
         raise InputFormatError(f"atom {ids[i]!r}: cannot serialize {last[i] - first[i] + 1} branches")
-    x, y = law.x, law.y
+    x, y, p = law.x, law.y, law.prob[first]
     single = first == last
-    lam = np.where(single, np.where(x[first] < 0.0, 1.0, 0.0), law.prob[first])
-    _write_csv(path, _LAW_HEADER, [(ids, lam, x[first], y[first], x[last], y[last])])
+    lam = np.where(single, np.where(x[first] < 0.0, 1.0, 0.0), p)
+    columns = (lam, x[first], y[first], x[last], y[last])
+    collapses = (x[first] == x[last]) & (y[first] == y[last]) & ((p == 0.0) | (p == 1.0))
+    for bad, what in ((~np.isfinite(columns).all(axis=0), "a value that is not finite"),
+                      (single & (p != 1.0), "one branch of probability other than 1"),
+                      (~single & (law.prob[last] != 1.0 - p), "probabilities other than (p, 1 - p)"),
+                      (~single & collapses, "two branches at one point, one of probability 0")):
+        if np.any(bad):
+            raise InputFormatError(f"atom {ids[int(np.argmax(bad))]!r}: a law row cannot hold {what}")
+    _write_csv(path, _LAW_HEADER, [(ids, *columns)])
 
 
 def read_law_csv(path: str | Path) -> LiftedLaw:

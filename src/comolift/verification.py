@@ -321,11 +321,11 @@ def _mc_checks(model: FiltrationModel, law: LiftedLaw, mc_samples: int, seed: in
     # Atoms without draws, and atoms whose branch variance pa * (1 - pa) is
     # zero (single branches among them), carry no test.  A negative variance
     # means pa lies outside [0, 1]: the frequency row fails outright.
-    pq = pa * (1.0 - pa)
     seen = counts > 0.0
     n_a = np.where(seen, counts, 1.0)
     mx, my = law.means
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # an overflowed spread is inf
+        pq = pa * (1.0 - pa)
         z_mean = 0.0
         for emp, mean, spread in ((sum_x / n_a, mx, p1x - p2x), (sum_y / n_a, my, p1y - p2y)):
             var = pq * spread ** 2

@@ -474,17 +474,25 @@ def test_chunked_sample_equals_the_whole_run(tmp_path, monkeypatch, chunk, full,
 def test_sample_formats_each_branch_point_once(tmp_path, monkeypatch, draws, chunk):
     # Only u is new per draw: N draws may format at most N floats plus the x
     # and y of each law branch they emit, once per run, not once per chunk.
+    # u goes through the float-slice formatter, the branch points one by one
+    # through format_float; both are counted (the slice formatter calls
+    # format_float only where u == 0, which these runs never draw).
     monkeypatch.setattr(lifting, "_DRAW_CHUNK", chunk)
     atoms, out = tmp_path / "atoms.csv", tmp_path / "samples.csv"
     write_atoms_csv(random_model(50, seed=6), atoms)
     branches = lift(ingest_atoms(atoms)).x.size
-    calls, format_float = [], comolift_io.format_float
+    calls, format_float, float_cells = [], comolift_io.format_float, comolift_io._float_cells
 
     def counting(value):
         calls.append(value)
         return format_float(value)
 
+    def counting_slice(values):
+        calls.extend(values.tolist())
+        return float_cells(values)
+
     monkeypatch.setattr(comolift_io, "format_float", counting)
+    monkeypatch.setattr(comolift_io, "_float_cells", counting_slice)
     assert main(["sample", "--input", str(atoms), "--output", str(out), "--samples", str(draws)]) == 0
     assert draws <= len(calls) <= draws + 2 * min(draws, branches)
     assert len(out.read_text().splitlines()) == draws + 1
@@ -498,6 +506,24 @@ def test_sample_law_mismatch_leaves_no_output(tmp_path, capsys, monkeypatch):
     assert main(["sample", "--input", str(atoms), "--output", str(out), "--samples", "10"]) == 3
     assert "law atoms do not match model atoms" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_every_cli_input_is_read_in_blocks(tmp_path, capsys, monkeypatch):
+    # Every file the pinned runs read is plain text, written by the writers or
+    # by hand with "\n" line ends: none may reach the row loop.
+    def refuse(*args):
+        raise AssertionError("a CLI input took the row loop")
+
+    monkeypatch.setattr(comolift_io, "_read_rows", refuse)
+    assert _cli_digests(tmp_path, capsys) == _CLI_DIGESTS
+
+
+@pytest.mark.parametrize("lines", [1, 7])
+def test_cli_bytes_do_not_depend_on_the_read_block(tmp_path, capsys, monkeypatch, lines):
+    # Every pinned input holds more than 200 rows, so at 1 and 7 lines per
+    # block the bulk path crosses many block boundaries.
+    monkeypatch.setattr(comolift_io, "_READ_ROWS", lines)
+    assert _cli_digests(tmp_path, capsys) == _CLI_DIGESTS
 
 
 def test_no_accepted_row_takes_the_cell_walk(tmp_path, capsys, monkeypatch):

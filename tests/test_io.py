@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import math
 import random
+import re
 import string
 from pathlib import Path
 
@@ -465,22 +466,27 @@ _EDGE_VALUES = [0.0, -0.0, 0.1, 1.0, 2.0 ** 53, 5e-324, -2.2250738585072014e-308
 _FAULTS = ["value", "positive", "sum", "fields", "duplicate", "empty_id", "unsafe_id"]
 
 
-def _spelling(rnd, x):
+def _spelling(rnd, x, quotes):
     """A cell that ``float(cell.strip())`` reads as ``x``: shortest or integral
-    digits, maybe with ``_`` groups or full-width digits, padding, quotes."""
+    digits, maybe with ``_`` groups or full-width digits, padding, and quotes
+    if ``quotes``."""
     forms = [repr(x), format_float(x)] + ([f"{int(x):_}"] if x.is_integer() and abs(x) < 1e18 else [])
     text = rnd.choice(forms)
     if rnd.random() < 0.3:
         text = text.translate(_FULL_WIDTH)
     text = rnd.choice(_PADS) + text + rnd.choice(_PADS)
-    return f'"{text}"' if rnd.random() < 0.3 else text
+    return f'"{text}"' if quotes and rnd.random() < 0.3 else text
 
 
 @st.composite
-def _table_text(draw, law):
+def _table_text(draw, law, plain=None):
     """CSV text of an atoms file (``law`` false) or a law file, and whether it
-    was built free of faults; such a file must be accepted."""
+    was built free of faults; such a file must be accepted.  Plain text (drawn
+    for about half the files when ``plain`` is None) ends its lines with
+    ``\\n`` only and holds no quote and no blank line, as the writers write."""
     rnd = random.Random(draw(st.integers(0, 2 ** 64)))
+    if plain is None:
+        plain = rnd.random() < 0.5
     width = 5 if law else 3
     n = rnd.randint(1, 12)
     values = [rnd.choice(_EDGE_VALUES) if rnd.random() < 0.2 else float(rnd.randint(-10 ** 6, 10 ** 6))
@@ -500,8 +506,9 @@ def _table_text(draw, law):
         for row, count in zip(rows, counts):
             row[0] = count / scale
     ids = rnd.sample(["a", "b", "c", "x_1", "y.2", "z-3", "é", "ab", "ba", "q", "r", "s", "t"], n)
-    cells = [[rnd.choice(_PADS) + atom_id] + [_spelling(rnd, x) for x in row] for atom_id, row in zip(ids, rows)]
-    faults = rnd.sample(_FAULTS, rnd.choice([0, 0, 0, 1, 1, 2, 3]))
+    cells = [[rnd.choice(_PADS) + atom_id] + [_spelling(rnd, x, not plain) for x in row]
+             for atom_id, row in zip(ids, rows)]
+    faults = rnd.sample([f for f in _FAULTS if not plain or f != "unsafe_id"], rnd.choice([0, 0, 0, 1, 1, 2, 3]))
     for fault in faults:
         row = rnd.choice(cells)
         if fault == "value":
@@ -515,15 +522,16 @@ def _table_text(draw, law):
         elif fault == "duplicate":
             row[0] = rnd.choice(cells)[0]
         elif fault == "empty_id":
-            row[0] = rnd.choice(["", " ", '""', "\x1f"])
+            row[0] = rnd.choice(["", " ", "\x1f"] + ([] if plain else ['""']))
         else:
             row[0] = rnd.choice(['"a,b"', '"a""b"', ' "a,b"'])
     lines = [",".join(header)]
     for row in cells:
-        if rnd.random() < 0.2:
+        if not plain and rnd.random() < 0.2:
             lines.append(rnd.choice(["", "  ", "\t", "\x1f"]))  # a blank line
         lines.append(",".join(row))
-    return "".join(line + rnd.choice(["\n", "\r\n", "\r"]) for line in lines), not faults
+    ends = ["\n"] if plain else ["\n", "\r\n", "\r"]
+    return "".join(line + rnd.choice(ends) for line in lines), not faults
 
 
 def _outcome(reader, path):
@@ -565,6 +573,61 @@ def test_read_law_csv_agrees_with_the_row_by_row_oracle(tmp_path, built):
         assert a.tobytes() == b.tobytes()
 
 
+@pytest.mark.parametrize("law", [False, True], ids=["atoms", "law"])
+@given(data=st.data(), block=st.integers(1, 5))
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_plain_tables_are_read_in_blocks_and_only_the_row_loop_names_a_fault(tmp_path, monkeypatch, law, data, block):
+    text, fault_free = data.draw(_table_text(law=law, plain=True))
+    p = tmp_path / "table.csv"
+    p.write_bytes(text.encode("utf-8"))
+    oracle, reader = (_oracle_read_law_csv, read_law_csv) if law else (_oracle_ingest_atoms, ingest_atoms)
+    calls, read_rows = [], comolift_io._read_rows
+    monkeypatch.setattr(comolift_io, "_read_rows", lambda *args: calls.append(args) or read_rows(*args))
+    monkeypatch.setattr(comolift_io, "_READ_ROWS", block)
+    want, got = _outcome(oracle, p), _outcome(reader, p)
+    if isinstance(want, str):
+        assert got == want
+        # The bulk path names no fault: only the weight sum is judged past the table reader.
+        assert calls or "atom weights sum" in got
+        return
+    if fault_free:
+        assert not calls
+    assert _table_bytes(got) == _table_bytes(want)
+
+
+def test_plain_rows_that_trade_a_field_are_refused(tmp_path):
+    # 3 + 5 fields make 2 rows of 4 that parse, with weights summing to 1:
+    # only a count per line, not the total, sends this file to the row loop.
+    p = tmp_path / "atoms.csv"
+    p.write_text("atom_id,weight,f,g\na,0.25,1\n5,b,0.75,2,3\n")
+    with pytest.raises(InputFormatError, match=re.escape(f"{p}:2: expected 4 fields, got 3")):
+        ingest_atoms(p)
+
+
+@pytest.mark.parametrize("end", ["\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029",
+                                 "quote"], ids=["crlf", "cr", "vt", "ff", "fs", "gs", "rs", "nel", "ls", "ps", "quote"])
+def test_text_that_is_not_plain_is_read_by_the_row_loop_alike(tmp_path, monkeypatch, end):
+    rows = ["atom_id,lambda,u1,v1,u2,v2", "a,0.25,-4,-3,4,3", "b,1,-2,-1,-2,-1"]
+    plain, other = tmp_path / "plain.csv", tmp_path / "other.csv"
+    plain.write_bytes("".join(row + "\n" for row in rows).encode())
+    if end == "quote":
+        rows[1], end = '"a",0.25,-4,-3,4,3', "\n"
+    other.write_bytes("".join(row + end for row in rows).encode())
+    calls, read_rows = [], comolift_io._read_rows
+    monkeypatch.setattr(comolift_io, "_read_rows", lambda *args: calls.append(args) or read_rows(*args))
+    want = _table_bytes(read_law_csv(plain))
+    assert not calls
+    assert _table_bytes(read_law_csv(other)) == want
+    assert len(calls) == 1
+
+
+def _table_bytes(table):
+    """The ids and the bytes of every column of a model or a law."""
+    if isinstance(table, LiftedLaw):
+        return table.atom_ids(), [c.tobytes() for c in (table.owner, table.prob, table.x, table.y)]
+    return table.ids(), [c.tobytes() for c in (table.weights(), table.f, table.g)]
+
+
 _any_float = st.floats(allow_nan=False, allow_infinity=False)  # subnormals and both zeros included
 _any_ids = st.lists(st.text(max_size=4), min_size=1, max_size=4, unique=True)
 # NUL, a byte-order mark, a zero-width space and a unit separator are ids like any other.
@@ -603,48 +666,87 @@ def test_a_written_atoms_file_reads_back_or_is_refused(tmp_path, columns):
 
 @st.composite
 def _law_columns(draw):
-    """The laws a law row holds, since it stores lambda alone: one branch of
-    probability 1, or two of probabilities lambda and 1 - lambda, with lambda
-    any finite float and the two points equal half the time."""
+    """Any law of one or two branches per atom: most of them the laws a row
+    holds (a single branch of probability 1, or two of probabilities p and
+    1 - p, p often 0 or 1), with the two points equal half the time, and now
+    and then a value that is not finite."""
     ids = draw(_any_ids)
     n = len(ids)
     single = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    lam = draw(st.lists(_any_float, min_size=n, max_size=n))
+    p = [1.0 if one and draw(st.integers(0, 3)) else draw(st.one_of(st.sampled_from([0.0, 1.0]), _any_float))
+         for one in single]
+    q = [1.0 - a if draw(st.integers(0, 3)) else draw(_any_float) for a in p]
     points = draw(st.lists(st.lists(_any_float, min_size=4, max_size=4), min_size=n, max_size=n))
-    return ids, single, lam, [p[:2] * 2 if draw(st.booleans()) else p for p in points]
+    points = [a[:2] * 2 if draw(st.booleans()) else a for a in points]
+    if draw(st.integers(0, 4)) == 0:
+        (q if draw(st.booleans()) else points[draw(st.integers(0, n - 1))])[0] = draw(
+            st.sampled_from([math.nan, math.inf, -math.inf]))
+    return ids, single, p, q, points
 
 
 @given(columns=_law_columns())
-@example(columns=(_odd_ids, [True, False, False, True], [1.0, 0.25, 5e-324, 0.0],
+@example(columns=(_odd_ids, [True, False, False, True], [1.0, 0.25, 5e-324, 1.0], [0.0, 0.75, 1.0, 0.0],
                   [[-4.0, -3.0, 8.0, 8.0], [-0.0, 1e300, 2.0, -2.0], [1.0, 2.0, 3.0, 4.0], [8.0, 8.0, 8.0, 8.0]]))
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_a_written_law_file_reads_back_or_is_refused(tmp_path, columns):
-    ids, single, lam, points = columns
+    ids, single, p, q, points = columns
     n = len(ids)
     x1, y1, x2, y2 = np.array(points).reshape(n, 4).T
     keep = np.column_stack((np.ones(n, bool), ~np.array(single)))
-    prob = np.column_stack((np.where(single, 1.0, lam), 1.0 - np.array(lam)))
-    law = LiftedLaw.from_pairs(ids, keep, prob, np.column_stack((x1, x2)), np.column_stack((y1, y2)))
-    p = tmp_path / "law.csv"
-    p.unlink(missing_ok=True)
+    law = LiftedLaw.from_pairs(ids, keep, np.column_stack((p, q)), np.column_stack((x1, x2)), np.column_stack((y1, y2)))
+    path = tmp_path / "law.csv"
+    path.unlink(missing_ok=True)
     try:
-        write_law_csv(law, p)
+        write_law_csv(law, path)
     except InputFormatError:
-        assert not p.exists() and ids != _odd_ids
+        assert not path.exists() and ids != _odd_ids
         return
-    again = read_law_csv(p)
+    again = read_law_csv(path)
     assert again.atom_ids() == tuple(ids)
-    # The reader's documented collapse: a row with equal points and lambda
-    # exactly 0 or 1 is one branch of probability 1, so such a two-branch
-    # atom comes back as its first point alone.
-    expected = {}
-    for i, atom_id in enumerate(ids):
-        b1, b2 = Point2(x1[i], y1[i]), Point2(x2[i], y2[i])
-        if single[i] or (b1 == b2 and lam[i] in (0.0, 1.0)):
-            expected[atom_id] = ((1.0, b1),)
-        else:
-            expected[atom_id] = ((lam[i], b1), (1.0 - lam[i], b2))
-    assert again.branches == expected
+    assert again.branches == law.branches
+
+
+_FOUND_P = Point2(4.0, 4.0)
+
+
+@pytest.mark.parametrize("branches, what", [
+    (((0.0, _FOUND_P), (1.0, _FOUND_P)), "two branches at one point, one of probability 0"),
+    (((0.4, _FOUND_P),), "one branch of probability other than 1"),
+    (((0.4, Point2(-4.0, -3.0)), (0.4, Point2(4.0, 3.0))), "probabilities other than (p, 1 - p)"),
+], ids=["zero_probability_branch", "single_branch_of_0.4", "probabilities_0.4_0.4"])
+def test_law_writer_refuses_a_law_a_row_cannot_hold(tmp_path, branches, what):
+    # Each law used to be written without a word and read back changed: the
+    # first two as ((1, P),), which verify passes where it fails the law.
+    law = LiftedLaw({"a": branches})
+    path = tmp_path / "law.csv"
+    with pytest.raises(InputFormatError, match=re.escape(f"atom 'a': a law row cannot hold {what}")):
+        write_law_csv(law, path)
+    assert not path.exists()
+    if len(branches) == 1:
+        model = FiltrationModel.from_columns(["a"], [1.0], [4.0], [4.0])
+        assert not verify_model(model, law).overall_pass
+        path.write_text("atom_id,lambda,u1,v1,u2,v2\na,0,4,4,4,4\n")  # the row the writer wrote
+        assert verify_model(model, read_law_csv(path)).overall_pass
+
+
+def test_law_writer_refuses_a_value_that_is_not_finite(tmp_path):
+    path = tmp_path / "law.csv"
+    for prob, x in ((0.5, math.inf), (math.nan, 1.0)):
+        law = LiftedLaw.from_pairs(["a", "b"], np.ones((2, 2), bool), np.array([[0.5, 0.5], [prob, 0.5]]),
+                                   np.array([[-1.0, 1.0], [-1.0, x]]), np.zeros((2, 2)))
+        with pytest.raises(InputFormatError, match="atom 'b': a law row cannot hold a value that is not finite"):
+            write_law_csv(law, path)
+        assert not path.exists()
+
+
+_SLICE_EDGES = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                2.0 ** 53, 2.0 ** 53 + 2, 1e16, 1e22, -1e16, 0.5, -2.5, 1.7976931348623157e308]
+
+
+@given(values=st.lists(st.floats(), max_size=50))
+@example(values=_SLICE_EDGES)
+def test_float_slice_cells_equal_format_float(values):
+    assert comolift_io._float_cells(np.array(values, dtype=np.float64)) == list(map(format_float, values))
 
 
 def test_negative_zero_is_written_as_0_and_reads_back_as_positive_zero(tmp_path):

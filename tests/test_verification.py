@@ -593,3 +593,14 @@ def test_mc_rows_fail_a_sampler_that_biases_the_atom_choice(monkeypatch):
 
     monkeypatch.setattr(lifting, "sample_u_arrays", biased)
     assert not _mc_rows(m, law)["sampler_atom_freq"].passed
+
+
+def test_mc_rows_stay_quiet_when_the_branch_variance_overflows():
+    # lambda 1e300 puts p * (1 - p) past the float range: the frequency row
+    # fails with an infinite statistic, and no RuntimeWarning is raised.
+    model = model_of([(0.0, 0.0)])
+    law = LiftedLaw({"m0": ((1e300, Point2(-4.0, -3.0)), (1.0 - 1e300, Point2(4.0, 3.0)))})
+    rep = verify_model(model, law, mc_samples=100)
+    assert not rep.overall_pass
+    assert row(rep, "sampler_branch_freq").statistic == math.inf
+    assert not row(rep, "sampler_branch_freq").passed
