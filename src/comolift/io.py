@@ -20,7 +20,7 @@ line of the first row that breaks it; every atom-keyed writer checks the
 same rule before it opens its file, and also refuses an id that would not
 read back as written (surrounding whitespace, which the reader strips, or
 any line break that ``str.splitlines`` splits on).  One table reader parses
-every CSV input: plain text (no ``"`` and no line break but ``\n``, as in every
+every CSV input: plain text (no ``"`` and no line break but ``\\n``, as in every
 file the writers write) in blocks of lines, and any other file, or one that
 breaks a rule, row by row, naming the first fault.  One table writer lays out
 every CSV output row.
@@ -185,8 +185,7 @@ def _read_blocks(lines: list[str], header: list[str], low: list[float]) -> tuple
 
 
 def _read_rows(lines: list[str], name: str, header: list[str], low: list[float]) -> tuple[list[str], np.ndarray]:
-    """The row loop of every CSV reader.  Every wrong field count, then an empty
-    table, is reported before the first row's id or value fault."""
+    """The row loop: every wrong field count, then an empty table, is named before the first id or value fault."""
     rows = csv.reader(lines)
     ids: list[str] = []
     seen: set[str] = set()
@@ -252,10 +251,11 @@ class _Coded(NamedTuple):
 
 def _float_cells(values: np.ndarray) -> list[str]:
     """:func:`format_float` of each float64 value: ``repr``, but where a value is integral or infinite."""
-    cells = list(map(repr, values.tolist()))
-    for i in np.flatnonzero(values == np.trunc(values)).tolist():
-        cells[i] = format_float(values[i])
-    return cells
+    whole = values == np.trunc(values)
+    cells = np.empty(values.size, dtype=object)
+    cells[~whole] = list(map(repr, values[~whole].tolist()))
+    cells[whole] = list(map(format_float, values[whole].tolist()))
+    return cells.tolist()
 
 
 def _cells(column: Sequence | _Coded, lo: int, hi: int) -> Iterable[str]:

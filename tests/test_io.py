@@ -573,6 +573,13 @@ def test_read_law_csv_agrees_with_the_row_by_row_oracle(tmp_path, built):
         assert a.tobytes() == b.tobytes()
 
 
+def _table_bytes(table):
+    """The ids and the bytes of every column of a model or a law."""
+    if isinstance(table, LiftedLaw):
+        return table.atom_ids(), [c.tobytes() for c in (table.owner, table.prob, table.x, table.y)]
+    return table.ids(), [c.tobytes() for c in (table.weights(), table.f, table.g)]
+
+
 @pytest.mark.parametrize("law", [False, True], ids=["atoms", "law"])
 @given(data=st.data(), block=st.integers(1, 5))
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -619,13 +626,6 @@ def test_text_that_is_not_plain_is_read_by_the_row_loop_alike(tmp_path, monkeypa
     assert not calls
     assert _table_bytes(read_law_csv(other)) == want
     assert len(calls) == 1
-
-
-def _table_bytes(table):
-    """The ids and the bytes of every column of a model or a law."""
-    if isinstance(table, LiftedLaw):
-        return table.atom_ids(), [c.tobytes() for c in (table.owner, table.prob, table.x, table.y)]
-    return table.ids(), [c.tobytes() for c in (table.weights(), table.f, table.g)]
 
 
 _any_float = st.floats(allow_nan=False, allow_infinity=False)  # subnormals and both zeros included
