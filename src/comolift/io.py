@@ -306,7 +306,7 @@ def write_law_csv(law: LiftedLaw, path: str | Path) -> None:
     lam = np.where(single, np.where(x[first] < 0.0, 1.0, 0.0), p)
     columns = (lam, x[first], y[first], x[last], y[last])
     collapses = (x[first] == x[last]) & (y[first] == y[last]) & ((p == 0.0) | (p == 1.0))
-    for bad, what in ((~np.isfinite(columns).all(axis=0), "a value that is not finite"),
+    for bad, what in ((~np.logical_and.reduce(list(map(np.isfinite, columns))), "a value that is not finite"),
                       (single & (p != 1.0), "one branch of probability other than 1"),
                       (~single & (law.prob[last] != 1.0 - p), "probabilities other than (p, 1 - p)"),
                       (~single & collapses, "two branches at one point, one of probability 0")):
