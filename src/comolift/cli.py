@@ -3,11 +3,18 @@
 Subcommands: curve, decompose, lift, sample, verify, demo.  Exit codes are
 part of the contract: 0 success, 1 verification failed, 2 usage error
 (argparse's own), 3 unreadable or malformed input.
+
+A flag left out is absent from the parsed namespace, so each default is
+defined once, as a ``RunConfig`` field.  ``curve`` and ``decompose`` stand
+alone; the other four commands are one pipeline: a model (the atoms file,
+or the built-in two-atom model for ``demo``), its law (the law file for
+``verify``, else ``lift`` of the model), then the command's one action.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -48,44 +55,46 @@ class RunConfig:
     y: float | None = None
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="comolift",
         description="Two-point comonotone lifting: build, sample, and verify.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    add = functools.partial(sub.add_parser, argument_default=argparse.SUPPRESS)
 
-    p = sub.add_parser("curve", help="export the staircase curve as CSV + SVG")
-    p.add_argument("--stages", type=int, default=4, help="number of stages (default 4)")
+    p = add("curve", help="export the staircase curve as CSV + SVG")
+    p.add_argument("--stages", type=int, help="number of stages (default 4)")
     p.add_argument("--output", required=True, help="CSV path; SVG companion shares the stem")
 
-    p = sub.add_parser("decompose", help="decompose one point, print the result")
+    p = add("decompose", help="decompose one point, print the result")
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--y", type=float, required=True)
 
-    p = sub.add_parser("lift", help="lift an atoms CSV into a law CSV")
+    p = add("lift", help="lift an atoms CSV into a law CSV")
     p.add_argument("--input", required=True, help="atoms CSV")
     p.add_argument("--output", required=True, help="law CSV")
 
-    p = sub.add_parser("sample", help="draw comonotone sample pairs from a lifted model")
+    p = add("sample", help="draw comonotone sample pairs from a lifted model")
     p.add_argument("--input", required=True, help="atoms CSV")
     p.add_argument("--output", required=True, help="samples CSV")
-    p.add_argument("--samples", type=int, default=0, help="number of draws (required > 0)")
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--samples", type=int, help="number of draws (required > 0)")
+    p.add_argument("--seed", type=int)
 
-    p = sub.add_parser("verify", help="verify a law against its atoms; report to stdout")
+    p = add("verify", help="verify a law against its atoms; report to stdout")
     p.add_argument("--input", required=True, help="atoms CSV")
     p.add_argument("--law", required=True, help="law CSV")
     p.add_argument("--output", help="also write the report as CSV rows here")
-    p.add_argument("--samples", type=int, default=0, help="Monte Carlo draws (0 = skip)")
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--samples", type=int, help="Monte Carlo draws (0 = skip)")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--tol", type=float)
 
-    p = sub.add_parser("demo", help="run a built-in two-atom model end to end")
+    p = add("demo", help="run a built-in two-atom model end to end")
     p.add_argument("--output", help="also write the report as CSV rows here")
-    p.add_argument("--samples", type=int, default=0)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--samples", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--tol", type=float)
 
     return parser
 
@@ -93,36 +102,20 @@ def _build_parser() -> argparse.ArgumentParser:
 def parse_args(argv: list[str] | None = None) -> RunConfig:
     """Parse and validate flags; usage problems exit 2 via argparse."""
     parser = _build_parser()
-    ns = parser.parse_args(argv)
+    fields = {"input": "input_path", "output": "output_path", "law": "law_path", "tol": "tolerance"}
+    config = RunConfig(**{fields.get(k, k): v for k, v in vars(parser.parse_args(argv)).items()})
 
-    stages = getattr(ns, "stages", 4)
-    if not 1 <= stages <= MAX_STAGE:
-        parser.error(f"--stages must be in [1, {MAX_STAGE}], got {stages}")
-    samples = getattr(ns, "samples", 0)
-    if samples < 0:
-        parser.error(f"--samples must be nonnegative, got {samples}")
-    if ns.command == "sample" and samples < 1:
+    if not 1 <= config.stages <= MAX_STAGE:
+        parser.error(f"--stages must be in [1, {MAX_STAGE}], got {config.stages}")
+    if config.samples < 0:
+        parser.error(f"--samples must be nonnegative, got {config.samples}")
+    if config.command == "sample" and config.samples < 1:
         parser.error("sample requires --samples >= 1")
-    tol = getattr(ns, "tol", 1e-9)
-    if not math.isfinite(tol) or tol <= 0.0:
-        parser.error(f"--tol must be finite and positive, got {tol}")
-    x = getattr(ns, "x", None)
-    y = getattr(ns, "y", None)
-    if ns.command == "decompose" and not (math.isfinite(x) and math.isfinite(y)):
+    if not math.isfinite(config.tolerance) or config.tolerance <= 0.0:
+        parser.error(f"--tol must be finite and positive, got {config.tolerance}")
+    if config.command == "decompose" and not (math.isfinite(config.x) and math.isfinite(config.y)):
         parser.error("--x and --y must be finite")
-
-    return RunConfig(
-        command=ns.command,
-        input_path=getattr(ns, "input", None),
-        output_path=getattr(ns, "output", None),
-        law_path=getattr(ns, "law", None),
-        stages=stages,
-        samples=samples,
-        seed=getattr(ns, "seed", 42),
-        tolerance=tol,
-        x=x,
-        y=y,
-    )
+    return config
 
 
 def _demo_model() -> FiltrationModel:
@@ -132,12 +125,13 @@ def _demo_model() -> FiltrationModel:
 def run(config: RunConfig, out=None) -> int:
     """Execute one parsed invocation; returns the process exit code."""
     out = out if out is not None else sys.stdout
+    command = config.command
 
-    if config.command == "curve":
+    if command == "curve":
         export_curve(config.stages, config.output_path)
         return 0
 
-    if config.command == "decompose":
+    if command == "decompose":
         d = decompose(Point2(config.x, config.y))
         out.write(f"stage={d.stage}\n")
         out.write(f"lambda={format_float(d.lam)}\n")
@@ -145,29 +139,22 @@ def run(config: RunConfig, out=None) -> int:
         out.write(f"e2x={format_float(d.e2.x)}\ne2y={format_float(d.e2.y)}\n")
         return 0
 
-    if config.command in ("lift", "sample"):
-        model = ingest_atoms(config.input_path)
-        law = lift(model)
-        if config.command == "lift":
-            write_law_csv(law, config.output_path)
-        else:
-            write_samples_csv(sample_chunks(model, law, config.samples, config.seed), config.output_path)
+    if command not in ("lift", "sample", "verify", "demo"):
+        raise AssertionError(f"unhandled command {command!r}")
+    model = _demo_model() if command == "demo" else ingest_atoms(config.input_path)
+    law = read_law_csv(config.law_path) if command == "verify" else lift(model)
+
+    if command == "lift":
+        write_law_csv(law, config.output_path)
         return 0
-
-    if config.command in ("verify", "demo"):
-        if config.command == "verify":
-            model = ingest_atoms(config.input_path)
-            law = read_law_csv(config.law_path)
-        else:
-            model = _demo_model()
-            law = lift(model)
-        report = verify_model(model, law, config.samples, config.seed, config.tolerance)
-        write_report_kv(report, out)
-        if config.output_path:
-            write_report_csv(report, config.output_path)
-        return 0 if report.overall_pass else 1
-
-    raise AssertionError(f"unhandled command {config.command!r}")
+    if command == "sample":
+        write_samples_csv(sample_chunks(model, law, config.samples, config.seed), config.output_path)
+        return 0
+    report = verify_model(model, law, config.samples, config.seed, config.tolerance)
+    write_report_kv(report, out)
+    if config.output_path:
+        write_report_csv(report, config.output_path)
+    return 0 if report.overall_pass else 1
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -99,8 +99,9 @@ class FiltrationModel:
 
     @classmethod
     def from_columns(cls, ids: Sequence[str], weights, f, g) -> FiltrationModel:
-        """A model from copies of its columns, under the model-level checks of
-        ``FiltrationModel(atoms)``; what :class:`Atom` checks per atom is not checked."""
+        """A model from copies of its columns, under the checks of
+        ``FiltrationModel(atoms)`` and :class:`Atom`'s weight and finite payoff
+        checks; the ids are not checked."""
         model = cls.__new__(cls)
         model._init(ids, *(np.array(column, dtype=np.float64) for column in (weights, f, g)))
         return model
@@ -109,14 +110,21 @@ class FiltrationModel:
         ids = tuple(ids)
         if not ids:
             raise InvalidInputError("model needs at least one atom")
-        index: dict[str, int] = {}
-        for i, atom_id in enumerate(ids):
-            if atom_id in index:
-                raise InvalidInputError(f"duplicate atom id {atom_id!r}")
-            index[atom_id] = i
         weights, f, g = (frozen_array(column) for column in (weights, f, g))
         if not weights.shape == f.shape == g.shape == (len(ids),):
             raise InvalidInputError("model needs one weight, f and g per atom id")
+        ok = (weights > 0.0) & (weights <= 1.0) & np.isfinite(f) & np.isfinite(g)
+        if not ok.all():
+            i = int(np.argmin(ok))
+            w, x, y = weights[i].item(), f[i].item(), g[i].item()
+            fault = (f"weight must be in (0, 1], got {w!r}" if not 0.0 < w <= 1.0
+                     else f"f must be finite, got {x!r}" if not math.isfinite(x) else f"g must be finite, got {y!r}")
+            raise InvalidInputError(f"atom {ids[i]!r}: {fault}")
+        index = dict(zip(ids, range(len(ids))))
+        if len(index) < len(ids):  # walk the ids only to name the first repeat
+            seen: set[str] = set()
+            repeat = next(atom_id for atom_id in ids if atom_id in seen or seen.add(atom_id))
+            raise InvalidInputError(f"duplicate atom id {repeat!r}")
         total = math.fsum(weights.tolist())
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise InvalidInputError(f"atom weights must sum to 1 within {WEIGHT_SUM_TOL}, got {total!r}")

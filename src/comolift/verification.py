@@ -27,10 +27,9 @@ five standard errors using the law's exact two-point moments: empirical
 per-atom means, first-branch frequencies, atom frequencies, and bit-exact
 membership of every emitted point in its atom's branch set.
 
-Every row is computed on arrays: the shape, curve and comonotonicity rows on
-the law as given, the rows that pair atoms with payoffs on the law in model
-order that ``align_law`` returns once per call.  The curve distance measures
-each point against the segment its anti-diagonal crosses.
+Every row is computed on arrays, from the law in model order that
+``align_law`` returns once per call.  The curve distance measures each point
+against the segment its anti-diagonal crosses.
 
 Relative residuals are normalized by max(1, scale): payoffs here range over
 many orders of magnitude, and below scale 1 an absolute comparison is the
@@ -239,7 +238,7 @@ def verify_model(
         raise InvalidInputError(f"mc_samples must be a nonnegative int, got {mc_samples!r}")
     if not isinstance(tol, (int, float)) or not math.isfinite(tol) or tol <= 0.0:
         raise InvalidInputError(f"tol must be finite and positive, got {tol!r}")
-    aligned = align_law(model, law)
+    law = align_law(model, law)
     f, g = model.f, model.g
     scale = np.maximum(1.0, gauge_batch(f, g))
 
@@ -262,7 +261,7 @@ def verify_model(
     recon_err = worst_gap(lam * e1x + (1.0 - lam) * e2x, lam * e1y + (1.0 - lam) * e2y)
     det.append(CheckRow("decompose_reconstruction", recon_err, tol, recon_err <= tol))
 
-    mx, my = aligned.means
+    mx, my = law.means
     mean_err = worst_gap(mx, my)
     det.append(CheckRow("cond_exp_identity", mean_err, tol, mean_err <= tol))
 
@@ -281,11 +280,11 @@ def verify_model(
     wit_stat = _witness_min_step(law.x, law.y)
     det.append(CheckRow("comonotone_witness", wit_stat, -tol, wit_stat >= -tol))
 
-    worst, bound = norm_bound_columns(model, aligned)
+    worst, bound = norm_bound_columns(model, law)
     margin = float(np.min((bound - worst) / np.maximum(1.0, bound), initial=math.inf))
     det.append(CheckRow("norm_bound", margin, -tol, margin >= -tol))
 
-    mc = _mc_checks(model, aligned, mc_samples, seed) if mc_samples > 0 else []
+    mc = _mc_checks(model, law, mc_samples, seed) if mc_samples > 0 else []
     return VerificationReport(
         max_reconstruction_error=recon_err,
         cond_exp_max_residual=max(mean_err, tower_err),

@@ -44,17 +44,41 @@ def bump_law_field(path, row, field, delta=1e-6):
     path.write_text("\n".join(lines) + "\n")
 
 
-def test_parse_args_lift_fills_defaults():
-    cfg = parse_args(["lift", "--input", "a.csv", "--output", "law.csv"])
-    assert cfg == RunConfig(
-        command="lift",
-        input_path="a.csv",
-        output_path="law.csv",
-        stages=4,
-        samples=0,
-        seed=42,
-        tolerance=1e-9,
-    )
+_REQUIRED = {  # per command: the fewest flags it accepts, and the fields they set
+    "curve": (["--output", "c.csv"], {"output_path": "c.csv"}),
+    "decompose": (["--x", "0", "--y", "-1.5"], {"x": 0.0, "y": -1.5}),
+    "lift": (["--input", "a.csv", "--output", "law.csv"], {"input_path": "a.csv", "output_path": "law.csv"}),
+    "sample": (["--input", "a.csv", "--output", "s.csv", "--samples", "1"],
+               {"input_path": "a.csv", "output_path": "s.csv", "samples": 1}),
+    "verify": (["--input", "a.csv", "--law", "l.csv"], {"input_path": "a.csv", "law_path": "l.csv"}),
+    "demo": ([], {}),
+}
+
+
+@pytest.mark.parametrize("command", _REQUIRED)
+def test_parse_args_fills_defaults(command):
+    # A flag left out takes its RunConfig field default, the one definition.
+    flags, fields = _REQUIRED[command]
+    assert parse_args([command, *flags]) == RunConfig(command, **fields)
+    assert RunConfig(command) == RunConfig(command, stages=4, samples=0, seed=42, tolerance=1e-9)
+
+
+def test_a_flag_does_not_carry_into_the_next_parse():
+    # The parser is built once per process; a parse leaves nothing behind in it.
+    assert cli._build_parser() is cli._build_parser()
+    parse_args(["verify", "--input", "a.csv", "--law", "l.csv", "--output", "r.csv",
+                "--samples", "5", "--seed", "1", "--tol", "0.5"])
+    parse_args(["curve", "--stages", "2", "--output", "c.csv"])
+    assert parse_args(["verify", "--input", "b.csv", "--law", "m.csv"]) == RunConfig(
+        "verify", input_path="b.csv", law_path="m.csv")
+    assert parse_args(["curve", "--output", "d.csv"]).stages == 4
+
+
+def test_run_refuses_an_unknown_command_before_reading(tmp_path):
+    missing = str(tmp_path / "missing.csv")
+    with pytest.raises(AssertionError, match="unhandled command 'nope'"):
+        run(RunConfig("nope", input_path=missing, law_path=missing, output_path=missing))
+    assert not (tmp_path / "missing.csv").exists()
 
 
 def test_parse_args_decompose():
@@ -89,6 +113,12 @@ def test_usage_errors_exit_2(argv):
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     assert "comolift" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", _REQUIRED)
+def test_subcommand_help_exits_0(capsys, command):
+    assert main([command, "--help"]) == 0
+    assert capsys.readouterr().out.startswith(f"usage: comolift {command} [-h]")
 
 
 def test_decompose_prints_frozen_kv():

@@ -61,6 +61,35 @@ def test_from_columns_runs_the_model_checks():
     assert near.ids() == ("a", "b")
 
 
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("weights, f, g, message", [
+    ([1.5, -0.5], [0, 1], [0, 1], "atom 'a': weight must be in (0, 1], got 1.5"),  # sums to 1
+    ([0.5, 0.0, 0.5], [0, 1, 2], [0, 1, 2], "atom 'b': weight must be in (0, 1], got 0.0"),
+    ([0.5, -0.25, 0.75], [0, 1, 2], [0, 1, 2], "atom 'b': weight must be in (0, 1], got -0.25"),
+    ([0.25, 0.25, 1.0 + 2.0 ** -52], [0, 1, 2], [0, 1, 2], "atom 'c': weight must be in (0, 1], got 1.0000000000000002"),
+    ([0.25, _NAN, 0.75], [0, 1, 2], [0, 1, 2], "atom 'b': weight must be in (0, 1], got nan"),
+    ([0.5, 0.25, 0.25], [0, _NAN, 2], [0, 1, 2], "atom 'b': f must be finite, got nan"),
+    ([0.5, 0.25, 0.25], [0, 1, 2], [0, 1, _INF], "atom 'c': g must be finite, got inf"),
+    ([0.5, 0.25, 0.25], [0, 1, -_INF], [0, _NAN, 2], "atom 'b': g must be finite, got nan"),  # first atom first
+    ([2.0, 0.25, 0.25], [_NAN, 1, 2], [0, 1, 2], "atom 'a': weight must be in (0, 1], got 2.0"),
+], ids=["sums_to_1", "zero", "negative", "above_1", "nan_weight", "nan_f", "inf_g", "first_atom", "weight_first"])
+def test_from_columns_refuses_what_an_atom_refuses(weights, f, g, message):
+    with pytest.raises(InvalidInputError) as exc:
+        FiltrationModel.from_columns(["a", "b", "c"][:len(weights)], weights, f, g)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("weight", [0.0, -0.25, 1.5, _NAN, _INF])
+def test_from_columns_words_a_weight_fault_as_atom_does(weight):
+    with pytest.raises(InvalidInputError) as by_atom:
+        Atom("b", weight, Point2(0, 0))
+    with pytest.raises(InvalidInputError) as by_columns:
+        FiltrationModel.from_columns(["a", "b"], [0.5, weight], [0, 1], [0, 1])
+    assert str(by_columns.value) == str(by_atom.value)
+
+
 def test_from_columns_copies_the_callers_arrays():
     # The model freezes its own copies: the caller's arrays stay writeable,
     # and writing to them does not reach the model.
