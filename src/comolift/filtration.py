@@ -6,8 +6,10 @@ U on [0, 1] (the fine level).  Coarse-level information knows the atom; the
 fine level also knows U.  Events measurable at the fine level are stored per
 atom as disjoint unions of closed subintervals of [0, 1], and conditional
 expectations given the coarse level reduce to exact interval-length sums.
-``FiltrationModel`` stores the coarse level as four columns (atom ids,
-weights, payoffs f and g); an ``Atom`` object is a view built on demand.
+``FiltrationModel`` stores the coarse level as four read-only columns: the
+atom ids, one ``StringDType`` column (:data:`ID_DTYPE`, so numpy >= 2.0, with
+no dict index beside it), and the weights and payoffs f and g.  An ``Atom``
+object, and the tuple that ``ids()`` returns, are views built on demand.
 
 Two families of events matter downstream:
 
@@ -49,12 +51,18 @@ __all__ = [
     "sample_u",
     "sample_u_arrays",
     "frozen_array",
+    "id_column",
+    "ID_DTYPE",
 ]
 
 #: Construction-level slack on the total atom weight.  CSV ingestion
 #: renormalizes at a much looser 1e-6; after renormalization the float sum
 #: of up to ~10^5 weights lands well inside this.
 WEIGHT_SUM_TOL = 1e-12
+
+#: The dtype of every atom-id column: UTF-8 text, an id of up to 15 bytes stored
+#: inline in 16; an id that is not a ``str`` is refused, not converted.
+ID_DTYPE = np.dtypes.StringDType(coerce=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,12 +91,34 @@ def frozen_array(values, dtype=np.float64) -> np.ndarray:
     return arr
 
 
-class FiltrationModel:
-    """Read-only columns in atom order: :meth:`ids`, :meth:`weights` summing to
-    one, and payoffs ``f``, ``g``.  The columns are the model; ``atoms``,
-    :meth:`atom` and iteration build :class:`Atom` views from them per call."""
+def id_column(ids) -> np.ndarray:
+    """``ids`` as a read-only :data:`ID_DTYPE` column: ``ids`` itself when it
+    already is one, else a copy.  Refuses an id that is not a ``str`` or that
+    UTF-8 cannot encode (a lone surrogate), naming the first."""
+    if isinstance(ids, np.ndarray) and ids.dtype == ID_DTYPE and not ids.flags.writeable:
+        return ids
+    try:
+        column = np.array(ids, dtype=ID_DTYPE)
+    except (ValueError, UnicodeEncodeError):  # walk the ids only to name the first bad one
+        for atom_id in ids:
+            if not isinstance(atom_id, str):
+                raise InvalidInputError(f"atom id must be a string, got {atom_id!r}") from None
+            try:
+                atom_id.encode("utf-8")
+            except UnicodeEncodeError:
+                raise InvalidInputError(f"atom id {atom_id!r} is not UTF-8 encodable") from None
+        raise
+    column.flags.writeable = False
+    return column
 
-    __slots__ = ("_index", "_ids", "_weights", "f", "g")
+
+class FiltrationModel:
+    """Read-only columns in atom order: ``id_column``, :meth:`weights` summing
+    to one, and payoffs ``f``, ``g``.  The columns are the model; :meth:`ids`,
+    ``atoms``, :meth:`atom` and iteration build tuples and :class:`Atom` views
+    from them per call."""
+
+    __slots__ = ("id_column", "_weights", "f", "g")
 
     def __init__(self, atoms: Sequence[Atom]) -> None:
         atoms = tuple(atoms)
@@ -101,17 +131,18 @@ class FiltrationModel:
     def from_columns(cls, ids: Sequence[str], weights, f, g) -> FiltrationModel:
         """A model from copies of its columns, under the checks of
         ``FiltrationModel(atoms)`` and :class:`Atom`'s weight and finite payoff
-        checks; the ids are not checked."""
+        checks; the ids must be ``str`` that UTF-8 can encode, and unique, but
+        may be empty.  A read-only :data:`ID_DTYPE` column is kept, not copied."""
         model = cls.__new__(cls)
         model._init(ids, *(np.array(column, dtype=np.float64) for column in (weights, f, g)))
         return model
 
     def _init(self, ids: Sequence[str], weights, f, g) -> None:
-        ids = tuple(ids)
-        if not ids:
+        ids = id_column(ids)
+        if not ids.size:
             raise InvalidInputError("model needs at least one atom")
         weights, f, g = (frozen_array(column) for column in (weights, f, g))
-        if not weights.shape == f.shape == g.shape == (len(ids),):
+        if not weights.shape == f.shape == g.shape == ids.shape == (ids.size,):
             raise InvalidInputError("model needs one weight, f and g per atom id")
         ok = (weights > 0.0) & (weights <= 1.0) & np.isfinite(f) & np.isfinite(g)
         if not ok.all():
@@ -120,16 +151,15 @@ class FiltrationModel:
             fault = (f"weight must be in (0, 1], got {w!r}" if not 0.0 < w <= 1.0
                      else f"f must be finite, got {x!r}" if not math.isfinite(x) else f"g must be finite, got {y!r}")
             raise InvalidInputError(f"atom {ids[i]!r}: {fault}")
-        index = dict(zip(ids, range(len(ids))))
-        if len(index) < len(ids):  # walk the ids only to name the first repeat
+        in_order = np.sort(ids, kind="stable")
+        if np.any(in_order[1:] == in_order[:-1]):  # walk the ids only to name the first repeat
             seen: set[str] = set()
-            repeat = next(atom_id for atom_id in ids if atom_id in seen or seen.add(atom_id))
+            repeat = next(atom_id for atom_id in ids.tolist() if atom_id in seen or seen.add(atom_id))
             raise InvalidInputError(f"duplicate atom id {repeat!r}")
         total = math.fsum(weights.tolist())
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise InvalidInputError(f"atom weights must sum to 1 within {WEIGHT_SUM_TOL}, got {total!r}")
-        object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_ids", ids)
+        object.__setattr__(self, "id_column", ids)
         object.__setattr__(self, "_weights", weights)
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "g", g)
@@ -138,10 +168,10 @@ class FiltrationModel:
         raise AttributeError("FiltrationModel is immutable")
 
     def __len__(self) -> int:
-        return len(self._ids)
+        return self.id_column.size
 
     def __iter__(self) -> Iterator[Atom]:
-        columns = zip(self._ids, self._weights.tolist(), self.f.tolist(), self.g.tolist())
+        columns = zip(self.id_column.tolist(), self._weights.tolist(), self.f.tolist(), self.g.tolist())
         return (Atom(atom_id, w, Point2(x, y)) for atom_id, w, x, y in columns)
 
     @property
@@ -149,12 +179,12 @@ class FiltrationModel:
         return tuple(self)
 
     def ids(self) -> tuple[str, ...]:
-        return self._ids
+        return tuple(self.id_column.tolist())
 
     def atom(self, atom_id: str) -> Atom:
         try:
-            i = self._index[atom_id]
-        except KeyError:
+            (i,) = np.flatnonzero(self.id_column == atom_id)
+        except (TypeError, ValueError):  # an id the column cannot hold, or none equal
             raise InvalidInputError(f"unknown atom id {atom_id!r}") from None
         return Atom(atom_id, self._weights[i], Point2(self.f[i], self.g[i]))
 

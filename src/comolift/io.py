@@ -20,10 +20,14 @@ line of the first row that breaks it; every atom-keyed writer checks the
 same rule before it opens its file, and also refuses an id that would not
 read back as written (surrounding whitespace, which the reader strips, or
 any line break that ``str.splitlines`` splits on).  One table reader parses
-every CSV input: plain text (no ``"`` and no line break but ``\\n``, as in every
-file the writers write) in blocks of lines, and any other file, or one that
-breaks a rule, row by row, naming the first fault.  One table writer lays out
-every CSV output row.
+every CSV input.  Plain text (no ``"`` and no line break but ``\\n``, as in every
+file the writers write) is read twice a block of bytes at a time: once to count
+its rows, then to parse each block, cut after its last ``\\n`` (a byte no
+multibyte UTF-8 sequence holds), straight into the table's whole columns, so
+only one block's text and lines are held at once.  Any other file, or one that
+breaks a rule, is read again from the start by the row loop, which names the
+first fault.  Ids are held as one numpy ``StringDType`` column (numpy >= 2.0)
+from reader to writer.  One table writer lays out every CSV output row.
 
 The writer takes plain columns, formatted cell by cell, and coded columns:
 a list of cells and one code per row, so a value that repeats is formatted
@@ -46,12 +50,12 @@ import math
 import operator
 from pathlib import Path
 from itertools import chain, repeat
-from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
+from typing import BinaryIO, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
 from .errors import InputFormatError
-from .filtration import FiltrationModel
+from .filtration import ID_DTYPE, FiltrationModel, frozen_array
 from .geometry import Segment, curve_segments
 from .lifting import LiftedLaw, Samples
 from .verification import VerificationReport
@@ -80,10 +84,12 @@ _SAMPLES_HEADER = ["sample_id", "atom_id", "u", "xi", "eta"]
 _CURVE_HEADER = ["stage", "kind", "ax", "ay", "bx", "by"]
 #: Rows formatted and written per slice by the table writer; the bytes do not depend on it.
 _WRITE_ROWS = 4096
-#: Lines parsed per block by the table reader's bulk path; the table does not depend on it.
-_READ_ROWS = 4096
+#: Bytes read per block by the table reader's bulk path; the table does not depend on it.
+_READ_BYTES = 1 << 18
 #: A quote, and every line break of str.splitlines but "\n": text holding none is plain.
 _NOT_PLAIN = '"\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029'
+#: Every character that str.isspace accepts, and so str.strip removes.
+_SPACES = "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000"
 
 
 def format_float(value: float) -> str:
@@ -112,16 +118,25 @@ def _id_fault(atom_id: str) -> str:
     return f"{atom_id!r} is not CSV-safe" if "," in atom_id or "\n" in atom_id or '"' in atom_id else ""
 
 
-def _require_good_ids(ids: Iterable[str]) -> None:
+def _require_good_ids(ids: np.ndarray) -> None:
     """The writers' half of the atom-id rule, run before a file is opened: the
     readers' rule, and the id must read back as written, so no surrounding
-    whitespace (readers strip cells) and no line break (readers split lines)."""
-    for atom_id in ids:
-        fault = _id_fault(atom_id)
-        if not fault and (atom_id.strip() != atom_id or len(atom_id.splitlines()) != 1):
-            fault = f"{atom_id!r} would not read back"
-        if fault:
-            raise InputFormatError(f"atom id {fault}")
+    whitespace (readers strip cells) and no line break (readers split lines).
+    Each slice of ids is checked joined, and walked only to name a fault."""
+    for lo in range(0, ids.size, _WRITE_ROWS):
+        part = ids[lo:lo + _WRITE_ROWS].tolist()
+        joined = "," + ",".join(part) + ","
+        # One "," per id and one more: so no id holds a ",", and every id sits between two.
+        if (joined.count(",") == len(part) + 1 and ",," not in joined
+                and not any(map(joined.__contains__, "\n" + _NOT_PLAIN))
+                and not any(c in joined and ("," + c in joined or c + "," in joined) for c in _SPACES)):
+            continue
+        for atom_id in part:
+            fault = _id_fault(atom_id)
+            if not fault and (atom_id.strip() != atom_id or len(atom_id.splitlines()) != 1):
+                fault = f"{atom_id!r} would not read back"
+            if fault:
+                raise InputFormatError(f"atom id {fault}")
 
 
 def _take_id(atom_id: str, seen: set[str], path: str, line: int) -> str:
@@ -134,11 +149,94 @@ def _take_id(atom_id: str, seen: set[str], path: str, line: int) -> str:
     return atom_id
 
 
-def _read_table(path: str | Path, header: list[str], positive: Sequence[str] = ()) -> tuple[list[str], np.ndarray]:
-    """The one table reader of every CSV input: the ids, and a (k, n) array of the other
-    k columns, of which the ``positive`` ones must be > 0.  Plain text is read in blocks
-    of lines; any other text, and any that breaks a rule, by the row loop."""
+def _read_table(path: str | Path, header: list[str], positive: Sequence[str] = ()) -> tuple[np.ndarray, np.ndarray]:
+    """The one table reader of every CSV input: the id column, and a (k, n) array of the
+    other k columns, of which the ``positive`` ones must be > 0.  Plain text is read in
+    blocks of bytes; any other text, and any that breaks a rule, by the row loop."""
     name = str(path)
+    # low < v rules out nan, -inf, and v <= 0 where low is 0; +inf is ruled out apart.
+    low = [0.0 if field in positive else -math.inf for field in header[1:]]
+    try:
+        with open(path, "rb") as fh:
+            table = _read_blocks(fh, header, low)
+    except OSError as exc:
+        raise InputFormatError(f"cannot read {name}: {exc}") from exc
+    return _read_rows(path, name, header, low) if table is None else table
+
+
+def _line_blocks(fh: BinaryIO) -> Iterator[bytes]:
+    """The file's bytes, read ``_READ_BYTES`` at a time, in blocks that each end
+    after a ``\\n``, but the last; so every block of UTF-8 text decodes alone."""
+    head: list[bytes] = []  # the bytes after the last "\n" read so far
+    while chunk := fh.read(_READ_BYTES):
+        cut = chunk.rfind(b"\n") + 1
+        if cut:
+            yield b"".join(head + [chunk[:cut]])
+            head = []
+        head.append(chunk[cut:])
+    if tail := b"".join(head):
+        yield tail
+
+
+def _read_blocks(fh: BinaryIO, header: list[str], low: list[float]) -> tuple[np.ndarray, np.ndarray] | None:
+    """The table of a plain file, read a block of lines at a time, or None when the
+    file is not plain or a line breaks a rule of :func:`_read_rows`, which then reads
+    every line."""
+    k, limit = len(header), csv.field_size_limit()
+    # Count the rows first, so that each block's ids and values go straight into whole
+    # columns: parts joined at the end would leave their memory to the process.
+    rows = ends = 0
+    while chunk := fh.read(_READ_BYTES):
+        rows, ends = rows + chunk.count(b"\n"), chunk.endswith(b"\n")
+    rows -= ends  # the header's line; a last line with no "\n" is a row
+    fh.seek(0)
+    ids, hashes, table = np.empty(rows, dtype=ID_DTYPE), np.empty(rows, dtype=np.int64), np.empty((rows, k - 1))
+    lo = 0
+    for n, block in enumerate(_line_blocks(fh)):
+        try:
+            text = block.decode("utf-8")
+        except UnicodeDecodeError:
+            return None
+        if any(map(text.__contains__, _NOT_PLAIN)):
+            return None
+        lines = text.split("\n")
+        del text
+        if not lines[-1]:  # the block ends with "\n"
+            lines.pop()
+        if n == 0 and list(map(str.strip, lines.pop(0).split(","))) != header:
+            return None
+        if not lines:
+            continue
+        # Exactly k - 1 commas and no oversize field: csv.reader splits the line as str.split does.
+        if list(map(str.count, lines, repeat(","))).count(k - 1) != len(lines) or max(map(len, lines)) > limit:
+            return None
+        cells = ",".join(lines).split(",")
+        del lines
+        block_ids = list(map(str.strip, cells[::k]))
+        del cells[::k]
+        hi = lo + len(block_ids)
+        values = table[lo:hi]
+        try:  # a file that grew since it was counted does not fit, and goes to the row loop too
+            values[:] = np.fromiter(map(float, map(str.strip, cells)), np.float64, len(cells)).reshape(-1, k - 1)
+        except ValueError:
+            return None
+        if "" in block_ids or not np.all((low < values) & (values < math.inf)):
+            return None
+        ids[lo:hi] = block_ids
+        hashes[lo:hi] = np.fromiter(map(hash, block_ids), np.int64, len(block_ids))
+        lo = hi
+    if lo != rows or not rows:
+        return None
+    # Unequal hashes prove the ids unique; equal ones, a repeat or a collision, go to the row loop.
+    hashes.sort()
+    if np.any(hashes[1:] == hashes[:-1]):
+        return None
+    return frozen_array(ids, ID_DTYPE), table.T
+
+
+def _read_rows(path: str | Path, name: str, header: list[str], low: list[float]) -> tuple[np.ndarray, np.ndarray]:
+    """The row loop, over the whole file read from the start: every wrong field count,
+    then an empty table, is named before the first id or value fault."""
     try:
         text = Path(path).read_bytes().decode("utf-8")
     except OSError as exc:
@@ -146,46 +244,10 @@ def _read_table(path: str | Path, header: list[str], positive: Sequence[str] = (
     except UnicodeDecodeError as exc:
         line = len((exc.object[:exc.start].decode("utf-8") + "x").splitlines())
         raise InputFormatError(f"{name}:{line}: not UTF-8 text ({exc.reason})") from None
-    plain = not any(map(text.__contains__, _NOT_PLAIN))
     lines = text.splitlines()
     del text
     if not lines:
         raise InputFormatError(f"{name}: empty file")
-    # low < v rules out nan, -inf, and v <= 0 where low is 0; +inf is ruled out apart.
-    low = [0.0 if field in positive else -math.inf for field in header[1:]]
-    table = _read_blocks(lines, header, low) if plain else None
-    return _read_rows(lines, name, header, low) if table is None else table
-
-
-def _read_blocks(lines: list[str], header: list[str], low: list[float]) -> tuple[list[str], np.ndarray] | None:
-    """The table of plain lines, read ``_READ_ROWS`` at a time, or None when a
-    line breaks a rule of :func:`_read_rows`, which then reads every line."""
-    k, limit = len(header), csv.field_size_limit()
-    if len(lines) < 2 or list(map(str.strip, lines[0].split(","))) != header:
-        return None
-    ids: list[str] = []
-    table = np.empty((len(lines) - 1, k - 1))
-    for lo in range(1, len(lines), _READ_ROWS):
-        block = lines[lo:lo + _READ_ROWS]
-        # Exactly k - 1 commas and no oversize field: csv.reader splits the line as str.split does.
-        if list(map(str.count, block, repeat(","))).count(k - 1) != len(block) or max(map(len, block)) > limit:
-            return None
-        cells = ",".join(block).split(",")
-        ids += map(str.strip, cells[::k])
-        del cells[::k]
-        try:
-            values = np.fromiter(map(float, map(str.strip, cells)), np.float64, len(cells)).reshape(-1, k - 1)
-        except ValueError:
-            return None
-        if not np.all((low < values) & (values < math.inf)):
-            return None
-        table[lo - 1:lo - 1 + len(block)] = values
-    unique = set(ids)
-    return (ids, table.T) if len(unique) == len(ids) and "" not in unique else None
-
-
-def _read_rows(lines: list[str], name: str, header: list[str], low: list[float]) -> tuple[list[str], np.ndarray]:
-    """The row loop: every wrong field count, then an empty table, is named before the first id or value fault."""
     rows = csv.reader(lines)
     ids: list[str] = []
     seen: set[str] = set()
@@ -215,7 +277,7 @@ def _read_rows(lines: list[str], name: str, header: list[str], low: list[float])
         raise InputFormatError(f"{name}:{rows.line_num}: {exc}") from None
     if fault or not ids:
         raise InputFormatError(fault or f"{name}: no data rows")
-    return ids, np.array(flat).reshape(len(ids), len(low)).T
+    return frozen_array(ids, ID_DTYPE), np.array(flat).reshape(len(ids), len(low)).T
 
 
 def ingest_atoms(path: str | Path) -> FiltrationModel:
@@ -250,11 +312,13 @@ class _Coded(NamedTuple):
 
 
 def _float_cells(values: np.ndarray) -> list[str]:
-    """:func:`format_float` of each float64 value: ``repr``, but where a value is integral or infinite."""
+    """:func:`format_float` of each float64 value: ``repr``, but where a value is
+    integral or infinite, formatted once per distinct value (+-0 both as ``0``)."""
     whole = values == np.trunc(values)
     cells = np.empty(values.size, dtype=object)
     cells[~whole] = list(map(repr, values[~whole].tolist()))
-    cells[whole] = list(map(format_float, values[whole].tolist()))
+    distinct, code = np.unique(values[whole], return_inverse=True)
+    cells[whole] = np.array(list(map(format_float, distinct.tolist())), dtype=object)[code]
     return cells.tolist()
 
 
@@ -262,8 +326,8 @@ def _cells(column: Sequence | _Coded, lo: int, hi: int) -> Iterable[str]:
     if isinstance(column, _Coded):  # a list zips faster than a lazy gather
         return list(map(column.cells.__getitem__, column.codes[lo:hi].tolist()))
     part = column[lo:hi]
-    if isinstance(part, np.ndarray) and part.dtype == np.float64:
-        return _float_cells(part)
+    if isinstance(part, np.ndarray):  # float64, or an id column
+        return _float_cells(part) if part.dtype == np.float64 else part.tolist()
     return map(str, part)
 
 
@@ -282,8 +346,8 @@ def _write_csv(path: str | Path, header: list[str], tables: Iterable[Sequence[Se
 
 
 def write_atoms_csv(model: FiltrationModel, path: str | Path) -> None:
-    _require_good_ids(model.ids())
-    _write_csv(path, _ATOMS_HEADER, [(model.ids(), model.weights(), model.f, model.g)])
+    _require_good_ids(model.id_column)
+    _write_csv(path, _ATOMS_HEADER, [(model.id_column, model.weights(), model.f, model.g)])
 
 
 def write_law_csv(law: LiftedLaw, path: str | Path) -> None:
@@ -294,18 +358,17 @@ def write_law_csv(law: LiftedLaw, path: str | Path) -> None:
     negative vertical side (x < 0) and 0 otherwise.  A law that cannot be
     written, or not read back unchanged, is rejected before the file is opened.
     """
-    ids = law.atom_ids()
+    ids = law.id_column
     _require_good_ids(ids)
     first, last = law.ends()
     wide = last - first > 1
     if np.any(wide):
         i = int(np.argmax(wide))
         raise InputFormatError(f"atom {ids[i]!r}: cannot serialize {last[i] - first[i] + 1} branches")
-    x, y, p = law.x, law.y, law.prob[first]
+    u1, v1, u2, v2, p = law.x[first], law.y[first], law.x[last], law.y[last], law.prob[first]
     single = first == last
-    lam = np.where(single, np.where(x[first] < 0.0, 1.0, 0.0), p)
-    columns = (lam, x[first], y[first], x[last], y[last])
-    collapses = (x[first] == x[last]) & (y[first] == y[last]) & ((p == 0.0) | (p == 1.0))
+    columns = (np.where(single, np.where(u1 < 0.0, 1.0, 0.0), p), u1, v1, u2, v2)
+    collapses = (u1 == u2) & (v1 == v2) & ((p == 0.0) | (p == 1.0))
     for bad, what in ((~np.logical_and.reduce(list(map(np.isfinite, columns))), "a value that is not finite"),
                       (single & (p != 1.0), "one branch of probability other than 1"),
                       (~single & (law.prob[last] != 1.0 - p), "probabilities other than (p, 1 - p)"),
@@ -346,6 +409,7 @@ def write_samples_csv(samples: Samples | Iterable[Samples], path: str | Path) ->
     chunks = iter((samples,) if isinstance(samples, Samples) else samples)
     head = next(chunks)
     _require_good_ids(head.ids)
+    ids = head.ids.tolist()  # atom i's id cell
     points = [""] * head.x.size  # branch b's "x,y" cell, once a draw has emitted b
     pending = np.ones(head.x.size, dtype=bool)
 
@@ -356,7 +420,7 @@ def write_samples_csv(samples: Samples | Iterable[Samples], path: str | Path) ->
             xs, ys = map(format_float, s.x[new].tolist()), map(format_float, s.y[new].tolist())
             for b, x, y in zip(new.tolist(), xs, ys):
                 points[b] = x + "," + y
-            yield range(s.start, s.start + len(s)), _Coded(s.ids, s.idx), s.u, _Coded(points, s.branch)
+            yield range(s.start, s.start + len(s)), _Coded(ids, s.idx), s.u, _Coded(points, s.branch)
 
     _write_csv(path, _SAMPLES_HEADER, tables())
 

@@ -8,11 +8,13 @@ monotone curve, so the lifted pair is comonotone while conditionally
 averaging back to the original payoffs.
 
 ``LiftedLaw`` is columnar: flat per-branch arrays (owning atom, probability,
-x, y) with each atom's branches contiguous, plus the atom ids in law order.
+x, y) with each atom's branches contiguous, plus the atom ids in law order as
+one read-only string column, shared with the model for a law from ``lift``.
 The ``(prob, Point2)`` mapping ``branches``, ``mean``, ``support_points``
 and :func:`lifted_norm_bound` are views of those columns, and the mapping is
 only built when asked for.  :func:`align_law` returns a law in a model's atom
-order; it owns the check that the law holds each model atom once.
+order; it owns the check that the law holds each model atom once, and ranks
+a shuffled law by sorting both id columns, with no dict.
 
 ``sample_lift`` realizes the law through the model's (atom, u) stream: the
 sample emits the first branch when u <= (first branch probability), so for a
@@ -33,14 +35,14 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .decomposition import decompose_batch
 from .errors import InvalidInputError
-from .filtration import FiltrationModel, frozen_array, sample_u_arrays
+from .filtration import FiltrationModel, frozen_array, id_column, sample_u_arrays
 from .geometry import GAUGE_CAP, Point2, gauge_batch
 
 __all__ = [
@@ -71,7 +73,7 @@ class LiftedLaw:
     """Per-atom discrete laws, stored as flat read-only branch columns.
 
     Branch k belongs to the atom at position ``owner[k]`` of
-    :meth:`atom_ids` and carries probability ``prob[k]`` at point
+    ``id_column`` and carries probability ``prob[k]`` at point
     (``x[k]``, ``y[k]``).  Every atom has at least one branch and its
     branches are contiguous, so ``owner`` is nondecreasing.
 
@@ -97,7 +99,7 @@ class LiftedLaw:
                     raise InvalidInputError(f"atom {atom_id!r}: branch probability must be finite")
                 rows.append((i, prob, item[1].x, item[1].y))
         table = np.array(rows, dtype=np.float64).reshape(-1, 4).T
-        self._init(tuple(branches), table[0].astype(np.int64), table[1], table[2], table[3])
+        self._init(id_column(tuple(branches)), table[0].astype(np.int64), table[1], table[2], table[3])
 
     @classmethod
     def from_pairs(cls, atom_ids: Sequence[str], keep: np.ndarray, prob: np.ndarray,
@@ -108,22 +110,22 @@ class LiftedLaw:
         Unchecked: every row of ``keep`` must hold at least one true slot.
         """
         law = cls.__new__(cls)
-        law._init(tuple(atom_ids), np.nonzero(keep)[0], prob[keep], x[keep], y[keep])
+        law._init(id_column(atom_ids), np.nonzero(keep)[0], prob[keep], x[keep], y[keep])
         return law
 
-    def _init(self, atom_ids: tuple[str, ...], owner, prob, x, y) -> None:
-        self._ids = atom_ids
+    def _init(self, atom_ids: np.ndarray, owner, prob, x, y) -> None:
+        self.id_column = atom_ids
         self.owner = frozen_array(owner, np.int64)
         self.prob = frozen_array(prob)
         self.x = frozen_array(x)
         self.y = frozen_array(y)
 
     def atom_ids(self) -> tuple[str, ...]:
-        return self._ids
+        return tuple(self.id_column.tolist())
 
     def ends(self) -> tuple[np.ndarray, np.ndarray]:
         """Column index of each atom's first and last branch, in law order."""
-        counts = np.bincount(self.owner, minlength=len(self._ids))
+        counts = np.bincount(self.owner, minlength=self.id_column.size)
         last = np.cumsum(counts) - 1
         return last - counts + 1, last
 
@@ -134,25 +136,24 @@ class LiftedLaw:
         prob, x, y = self.prob.tolist(), self.x.tolist(), self.y.tolist()
         return {
             atom_id: tuple((prob[k], Point2(x[k], y[k])) for k in range(a, b + 1))
-            for atom_id, a, b in zip(self._ids, first.tolist(), last.tolist())
+            for atom_id, a, b in zip(self.id_column.tolist(), first.tolist(), last.tolist())
         }
 
     @cached_property
     def means(self) -> tuple[np.ndarray, np.ndarray]:
         """Probability-weighted mean point of every atom's law, in law order."""
-        size = len(self._ids)
+        size = self.id_column.size
         with np.errstate(over="ignore"):  # an overflowed mean is infinite, for the verifier to judge
             mx = np.bincount(self.owner, weights=self.prob * self.x, minlength=size)
             my = np.bincount(self.owner, weights=self.prob * self.y, minlength=size)
         return frozen_array(mx), frozen_array(my)
 
-    @cached_property
-    def _position(self) -> dict[str, int]:
-        return {atom_id: i for i, atom_id in enumerate(self._ids)}
-
     def mean(self, atom_id: str) -> tuple[float, float]:
-        """Probability-weighted mean point of one atom's law."""
-        i = self._position[atom_id]
+        """Probability-weighted mean point of one atom's law; ``KeyError`` for an id the law lacks."""
+        try:
+            (i,) = np.flatnonzero(self.id_column == atom_id)
+        except (TypeError, ValueError):  # an id the column cannot hold, or none equal
+            raise KeyError(atom_id) from None
         return (float(self.means[0][i]), float(self.means[1][i]))
 
     def support_points(self) -> list[Point2]:
@@ -177,7 +178,7 @@ class Samples(Sequence[SamplePair]):
     negative too, or iteration builds :class:`SamplePair` views; a slice raises
     ``TypeError``, so slice the columns."""
 
-    def __init__(self, ids: tuple[str, ...], idx, u, branch, x, y, start: int = 0) -> None:
+    def __init__(self, ids: np.ndarray, idx, u, branch, x, y, start: int = 0) -> None:
         self.ids, self.start = ids, start
         self.idx, self.u, self.branch = (frozen_array(c, c.dtype) for c in (idx, u, branch))
         self.x, self.y = frozen_array(x), frozen_array(y)
@@ -210,15 +211,19 @@ def align_law(model: FiltrationModel, law: LiftedLaw) -> LiftedLaw:
     """``law`` with its atoms in model order: ``law`` itself when they already
     are, else a copy that keeps each atom's branches in their order.  Raises
     unless the law's atom ids are the model's, each once."""
-    ids, law_ids = model.ids(), law.atom_ids()
-    if ids == law_ids:
+    ids, law_ids = model.id_column, law.id_column
+    if law_ids is ids or np.array_equal(law_ids, ids):
         return law
-    rank = np.fromiter(map(model._index.get, law_ids, repeat(-1)), dtype=np.int64, count=len(law_ids))
-    if not np.array_equal(np.sort(rank), np.arange(len(ids))):
+    # The model's ids are unique, so equal sorted columns make the law's a permutation of them.
+    by_model, by_law = np.argsort(ids, kind="stable"), np.argsort(law_ids, kind="stable")
+    if not np.array_equal(ids[by_model], law_ids[by_law]):
+        ids, law_ids = ids.tolist(), law_ids.tolist()
         raise InvalidInputError(  # a repeated id counts as extra
             f"law atoms do not match model atoms: missing {sorted((Counter(ids) - Counter(law_ids)).elements())!r}, "
             f"extra {sorted((Counter(law_ids) - Counter(ids)).elements())!r}"
         )
+    rank = np.empty(ids.size, dtype=np.int64)
+    rank[by_law] = by_model
     order = np.argsort(rank[law.owner], kind="stable")
     aligned = LiftedLaw.__new__(LiftedLaw)
     aligned._init(ids, rank[law.owner[order]], law.prob[order], law.x[order], law.y[order])
@@ -232,14 +237,15 @@ def lift(model: FiltrationModel) -> LiftedLaw:
     keeps only e1, so no branch ever carries probability zero.
     """
     try:
-        _, lam, e1x, e1y, e2x, e2y = decompose_batch(model.f, model.g)
+        lam, e1x, e1y, e2x, e2y = decompose_batch(model.f, model.g)[1:]
     except InvalidInputError as exc:
         bad = int(np.argmax(gauge_batch(model.f, model.g) > GAUGE_CAP))
-        raise InvalidInputError(f"atom {model.ids()[bad]!r}: {exc}") from exc
-    # The slot whose weight is exactly 0 is dropped.
+        raise InvalidInputError(f"atom {model.id_column[bad]!r}: {exc}") from exc
+    # Each atom's two slots side by side; the slot whose weight is exactly 0 is dropped.
     keep = np.column_stack((lam != 0.0, lam != 1.0))
-    return LiftedLaw.from_pairs(model.ids(), keep, np.column_stack((lam, 1.0 - lam)),
-                                np.column_stack((e1x, e2x)), np.column_stack((e1y, e2y)))
+    prob, x, y = np.column_stack((lam, 1.0 - lam)), np.column_stack((e1x, e2x)), np.column_stack((e1y, e2y))
+    del lam, e1x, e1y, e2x, e2y  # freed before the law gathers its columns: a lower peak
+    return LiftedLaw.from_pairs(model.id_column, keep, prob, x, y)
 
 
 def sample_table(model: FiltrationModel, law: LiftedLaw) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -253,7 +259,7 @@ def sample_table(model: FiltrationModel, law: LiftedLaw) -> tuple[np.ndarray, np
     first, last = law.ends()
     wide = last - first > 1
     if np.any(wide):
-        atom_id = model.ids()[int(np.argmax(wide))]
+        atom_id = model.id_column[int(np.argmax(wide))]
         raise InvalidInputError(f"atom {atom_id!r}: sampling needs 1 or 2 branches")
     return np.where(first == last, 1.0, law.prob[first]), first, last
 
@@ -268,7 +274,7 @@ def sample_branch(table: tuple[np.ndarray, np.ndarray, np.ndarray], idx: np.ndar
 
 def _draw(model: FiltrationModel, law: LiftedLaw, table, count: int, seed: int, start: int) -> Samples:
     idx, u = sample_u_arrays(model, count, seed, start)
-    return Samples(model.ids(), idx, u, sample_branch(table, idx, u), law.x, law.y, start)
+    return Samples(model.id_column, idx, u, sample_branch(table, idx, u), law.x, law.y, start)
 
 
 def sample_lift_arrays(
@@ -325,5 +331,5 @@ def lifted_norm_bound(model: FiltrationModel, law: LiftedLaw) -> dict[str, NormB
     worst, bound = norm_bound_columns(model, law)
     return {
         atom_id: NormBoundRow(w, b, b - w)
-        for atom_id, w, b in zip(model.ids(), worst.tolist(), bound.tolist())
+        for atom_id, w, b in zip(model.id_column.tolist(), worst.tolist(), bound.tolist())
     }

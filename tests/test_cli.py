@@ -21,7 +21,7 @@ from comolift.cli import RunConfig, main, parse_args, run
 from comolift.filtration import Atom, FiltrationModel
 from comolift.geometry import MAX_STAGE, Point2
 from comolift.io import ingest_atoms, write_atoms_csv, write_samples_csv
-from comolift.lifting import SamplePair, lift, sample_lift
+from comolift.lifting import LiftedLaw, SamplePair, lift, sample_lift
 
 
 def random_model(n, seed):
@@ -548,11 +548,21 @@ def test_every_cli_input_is_read_in_blocks(tmp_path, capsys, monkeypatch):
     assert _cli_digests(tmp_path, capsys) == _CLI_DIGESTS
 
 
-@pytest.mark.parametrize("lines", [1, 7])
-def test_cli_bytes_do_not_depend_on_the_read_block(tmp_path, capsys, monkeypatch, lines):
-    # Every pinned input holds more than 200 rows, so at 1 and 7 lines per
-    # block the bulk path crosses many block boundaries.
-    monkeypatch.setattr(comolift_io, "_READ_ROWS", lines)
+def test_no_cli_path_builds_a_tuple_of_ids(tmp_path, capsys, monkeypatch):
+    # Ids stay one column from reader to writer on every pinned run, a shuffled law among them.
+    def refuse(*args):
+        raise AssertionError("a CLI path built a tuple of ids")
+
+    monkeypatch.setattr(FiltrationModel, "ids", refuse)
+    monkeypatch.setattr(LiftedLaw, "atom_ids", refuse)
+    assert _cli_digests(tmp_path, capsys) == _CLI_DIGESTS
+
+
+@pytest.mark.parametrize("size", [1, 7])
+def test_cli_bytes_do_not_depend_on_the_read_block(tmp_path, capsys, monkeypatch, size):
+    # Every pinned input holds more than 200 rows, so at reads of 1 and 7
+    # bytes the bulk path cuts lines and multibyte ids at many places.
+    monkeypatch.setattr(comolift_io, "_READ_BYTES", size)
     assert _cli_digests(tmp_path, capsys) == _CLI_DIGESTS
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from comolift.filtration import (
     u_le_h_event,
 )
 from comolift.geometry import Point2
+from comolift.lifting import LiftedLaw
 from comolift.rng import raw_words, uniforms
 
 
@@ -100,14 +102,40 @@ def test_from_columns_copies_the_callers_arrays():
     assert not (m.weights().flags.writeable or m.f.flags.writeable or m.g.flags.writeable)
 
 
+@pytest.mark.parametrize("bad, message", [
+    (1, "atom id must be a string, got 1"),
+    (b"b", "atom id must be a string, got b'b'"),
+    (None, "atom id must be a string, got None"),
+    ("b\ud800", "atom id 'b\\ud800' is not UTF-8 encodable"),
+], ids=["int", "bytes", "none", "surrogate"])
+def test_id_columns_refuse_ids_that_are_not_utf8_strings(bad, message):
+    # The first bad id is named; a later one, of another kind, is not reached.
+    ids = ["a", bad, 7]
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
+        FiltrationModel.from_columns(ids, [0.25, 0.5, 0.25], [0, 1, 2], [0, 1, 2])
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
+        LiftedLaw.from_pairs(ids, np.ones((3, 1), bool), np.ones((3, 1)), np.zeros((3, 1)), np.zeros((3, 1)))
+    if isinstance(bad, str):
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            FiltrationModel([Atom(bad, 1.0, Point2(0, 0))])
+
+
+def test_from_columns_takes_an_empty_id_and_keeps_ids_as_str():
+    m = FiltrationModel.from_columns(["", "b"], [0.5, 0.5], [0, 1], [0, 1])
+    assert m.ids() == ("", "b") and all(type(i) is str for i in m.ids())
+
+
 def test_model_is_immutable_and_indexable():
     m = two_atom_model()
     assert m.ids() == ("a", "b")
     assert m.atom("b").payoff.as_tuple() == (8.0, 8.0)
-    with pytest.raises(InvalidInputError):
-        m.atom("zz")
+    for missing in ("zz", 5, "a\ud800"):
+        with pytest.raises(InvalidInputError, match="unknown atom id"):
+            m.atom(missing)
     with pytest.raises(AttributeError):
         m.atoms = ()
+    with pytest.raises(AttributeError):
+        m.id_column = m.id_column
 
 
 def test_event_normalization_merges_touching_and_drops_empty():

@@ -7,6 +7,7 @@ import math
 import random
 import re
 import string
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -483,7 +484,8 @@ def _table_text(draw, law, plain=None):
     """CSV text of an atoms file (``law`` false) or a law file, and whether it
     was built free of faults; such a file must be accepted.  Plain text (drawn
     for about half the files when ``plain`` is None) ends its lines with
-    ``\\n`` only and holds no quote and no blank line, as the writers write."""
+    ``\\n`` only and holds no quote and no blank line, as the writers write.
+    About a third of the files have no line break after their last row."""
     rnd = random.Random(draw(st.integers(0, 2 ** 64)))
     if plain is None:
         plain = rnd.random() < 0.5
@@ -505,7 +507,8 @@ def _table_text(draw, law, plain=None):
         counts[-1] += scale - sum(counts)
         for row, count in zip(rows, counts):
             row[0] = count / scale
-    ids = rnd.sample(["a", "b", "c", "x_1", "y.2", "z-3", "é", "ab", "ba", "q", "r", "s", "t"], n)
+    # Multibyte ids of 2, 3 and 4 bytes a character, so small read blocks cut inside them.
+    ids = rnd.sample(["a", "b", "c", "x_1", "y.2", "z-3", "é", "ab", "ba", "日本", "\U0001d4c1x", "qñ", "t"], n)
     cells = [[rnd.choice(_PADS) + atom_id] + [_spelling(rnd, x, not plain) for x in row]
              for atom_id, row in zip(ids, rows)]
     faults = rnd.sample([f for f in _FAULTS if not plain or f != "unsafe_id"], rnd.choice([0, 0, 0, 1, 1, 2, 3]))
@@ -531,7 +534,10 @@ def _table_text(draw, law, plain=None):
             lines.append(rnd.choice(["", "  ", "\t", "\x1f"]))  # a blank line
         lines.append(",".join(row))
     ends = ["\n"] if plain else ["\n", "\r\n", "\r"]
-    return "".join(line + rnd.choice(ends) for line in lines), not faults
+    text = "".join(line + rnd.choice(ends) for line in lines)
+    if rnd.random() < 0.3:  # no line break after the last row
+        text = text.rstrip("\r\n")
+    return text, not faults
 
 
 def _outcome(reader, path):
@@ -541,10 +547,15 @@ def _outcome(reader, path):
         return str(exc)
 
 
-@given(built=_table_text(law=False))
+# A read block of 1 to 64 bytes cuts lines, cells and multibyte ids; the default holds every drawn file.
+_read_block = st.one_of(st.integers(1, 64), st.just(comolift_io._READ_BYTES))
+
+
+@given(built=_table_text(law=False), block=_read_block)
 @settings(max_examples=1000, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_ingest_atoms_agrees_with_the_row_by_row_oracle(tmp_path, built):
+def test_ingest_atoms_agrees_with_the_row_by_row_oracle(tmp_path, monkeypatch, built, block):
     text, fault_free = built
+    monkeypatch.setattr(comolift_io, "_READ_BYTES", block)
     p = tmp_path / "atoms.csv"
     p.write_bytes(text.encode("utf-8"))
     want, got = _outcome(_oracle_ingest_atoms, p), _outcome(ingest_atoms, p)
@@ -557,10 +568,11 @@ def test_ingest_atoms_agrees_with_the_row_by_row_oracle(tmp_path, built):
         assert a.tobytes() == b.tobytes()
 
 
-@given(built=_table_text(law=True))
+@given(built=_table_text(law=True), block=_read_block)
 @settings(max_examples=1000, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_read_law_csv_agrees_with_the_row_by_row_oracle(tmp_path, built):
+def test_read_law_csv_agrees_with_the_row_by_row_oracle(tmp_path, monkeypatch, built, block):
     text, fault_free = built
+    monkeypatch.setattr(comolift_io, "_READ_BYTES", block)
     p = tmp_path / "law.csv"
     p.write_bytes(text.encode("utf-8"))
     want, got = _outcome(_oracle_read_law_csv, p), _outcome(read_law_csv, p)
@@ -581,7 +593,7 @@ def _table_bytes(table):
 
 
 @pytest.mark.parametrize("law", [False, True], ids=["atoms", "law"])
-@given(data=st.data(), block=st.integers(1, 5))
+@given(data=st.data(), block=st.integers(1, 64))
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_plain_tables_are_read_in_blocks_and_only_the_row_loop_names_a_fault(tmp_path, monkeypatch, law, data, block):
     text, fault_free = data.draw(_table_text(law=law, plain=True))
@@ -590,7 +602,7 @@ def test_plain_tables_are_read_in_blocks_and_only_the_row_loop_names_a_fault(tmp
     oracle, reader = (_oracle_read_law_csv, read_law_csv) if law else (_oracle_ingest_atoms, ingest_atoms)
     calls, read_rows = [], comolift_io._read_rows
     monkeypatch.setattr(comolift_io, "_read_rows", lambda *args: calls.append(args) or read_rows(*args))
-    monkeypatch.setattr(comolift_io, "_READ_ROWS", block)
+    monkeypatch.setattr(comolift_io, "_READ_BYTES", block)
     want, got = _outcome(oracle, p), _outcome(reader, p)
     if isinstance(want, str):
         assert got == want
@@ -625,6 +637,27 @@ def test_text_that_is_not_plain_is_read_by_the_row_loop_alike(tmp_path, monkeypa
     want = _table_bytes(read_law_csv(plain))
     assert not calls
     assert _table_bytes(read_law_csv(other)) == want
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("change", ["grown", "shrunk"])
+def test_a_file_that_changes_between_count_and_parse_goes_to_the_row_loop(tmp_path, monkeypatch, change):
+    # The plain path counts the rows, then parses them into columns of that size:
+    # a file that no longer holds that many rows is read again by the row loop.
+    p = tmp_path / "atoms.csv"
+    p.write_text("atom_id,weight,f,g\na,0.5,0,0\nb,0.5,8,8\n")
+    want = _table_bytes(ingest_atoms(p))
+    line_blocks = comolift_io._line_blocks
+
+    def changed(fh):
+        blocks = list(line_blocks(fh))
+        return blocks + [b"c,0.5,1,1\n"] if change == "grown" else blocks[:-1]
+
+    calls, read_rows = [], comolift_io._read_rows
+    monkeypatch.setattr(comolift_io, "_READ_BYTES", 10)
+    monkeypatch.setattr(comolift_io, "_line_blocks", changed)
+    monkeypatch.setattr(comolift_io, "_read_rows", lambda *args: calls.append(args) or read_rows(*args))
+    assert _table_bytes(ingest_atoms(p)) == want
     assert len(calls) == 1
 
 
@@ -760,3 +793,55 @@ def test_negative_zero_is_written_as_0_and_reads_back_as_positive_zero(tmp_path)
     write_law_csv(law, p)
     assert p.read_text() == "atom_id,lambda,u1,v1,u2,v2\na,0,0,0,0,0\n"
     assert math.copysign(1.0, read_law_csv(p).x[0]) == 1.0
+
+
+def test_ingest_atoms_holds_less_than_the_file_it_reads(tmp_path):
+    # The plain reader holds one block of text and lines at a time, and the model
+    # one id column: no list of every line, and no str object per id.
+    n = 100_000
+    rng = np.random.default_rng(7)
+    w = rng.uniform(0.5, 1.5, n)
+    w /= math.fsum(w.tolist())
+    f, g = rng.normal(0.0, 1e3, n), rng.normal(0.0, 1e3, n)
+    p = tmp_path / "atoms.csv"
+    p.write_text("atom_id,weight,f,g\n" + "".join(
+        f"a7x{i},{a!r},{b!r},{c!r}\n" for i, (a, b, c) in enumerate(zip(w.tolist(), f.tolist(), g.tolist()))))
+    size = p.stat().st_size
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        m = ingest_atoms(p)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(m) == n
+    assert peak - base <= 2.5 * size, (peak - base) / size
+    assert held - base <= 1.0 * size, (held - base) / size
+
+
+def _oracle_require_good_ids(ids):
+    """The writers' id rule, one id at a time."""
+    for atom_id in ids:
+        if not atom_id:
+            raise InputFormatError("atom id must be nonempty")
+        if "," in atom_id or "\n" in atom_id or '"' in atom_id:
+            raise InputFormatError(f"atom id {atom_id!r} is not CSV-safe")
+        if atom_id.strip() != atom_id or len(atom_id.splitlines()) != 1:
+            raise InputFormatError(f"atom id {atom_id!r} would not read back")
+
+
+_ID_EDGE_CHARS = list(comolift_io._SPACES) + [",", '"', "a", "\u00e9", "\x00", "\u200b", "\ufeff"]
+
+
+@given(ids=st.lists(st.text(st.sampled_from(_ID_EDGE_CHARS), max_size=3), min_size=1, max_size=12),
+       slice_ids=st.integers(1, 5))
+@settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_writers_id_rule_agrees_with_the_id_by_id_oracle(monkeypatch, ids, slice_ids):
+    # Ids of whitespace, commas and quotes, checked in slices of 1 to 5 ids.
+    monkeypatch.setattr(comolift_io, "_WRITE_ROWS", slice_ids)
+    column = np.array(ids, dtype=np.dtypes.StringDType())
+    assert _outcome(comolift_io._require_good_ids, column) == _outcome(_oracle_require_good_ids, ids)
+
+
+def test_spaces_are_every_character_that_strip_removes():
+    assert comolift_io._SPACES == "".join(c for c in map(chr, range(0x110000)) if c.isspace())

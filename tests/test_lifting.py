@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from comolift.geometry import Point2, gauge, on_curve
 from comolift.lifting import (
     LiftedLaw,
     SamplePair,
+    align_law,
     lift,
     lifted_norm_bound,
     sample_chunks,
@@ -218,3 +221,73 @@ def test_lift_error_names_the_atom():
     m = FiltrationModel([Atom("huge", 1.0, Point2(math.ldexp(1.0, 1022), 0.0))])
     with pytest.raises(InvalidInputError, match="huge"):
         lift(m)
+
+
+def _oracle_align_law(model, law):
+    """align_law by a dict from id to model position, as it was before ids were a column."""
+    ids, law_ids = model.ids(), law.atom_ids()
+    if ids == law_ids:
+        return law
+    index = dict(zip(ids, range(len(ids))))
+    rank = np.fromiter(map(index.get, law_ids, repeat(-1)), dtype=np.int64, count=len(law_ids))
+    if not np.array_equal(np.sort(rank), np.arange(len(ids))):
+        raise InvalidInputError(
+            f"law atoms do not match model atoms: missing {sorted((Counter(ids) - Counter(law_ids)).elements())!r}, "
+            f"extra {sorted((Counter(law_ids) - Counter(ids)).elements())!r}"
+        )
+    order = np.argsort(rank[law.owner], kind="stable")
+    return ids, rank[law.owner[order]], law.prob[order], law.x[order], law.y[order]
+
+
+@st.composite
+def _model_and_law(draw):
+    """A model, and a law over its ids shuffled, with some missing, extra or repeated."""
+    ids = draw(st.lists(st.text(max_size=3), min_size=1, max_size=8, unique=True))
+    n = len(ids)
+    model = FiltrationModel.from_columns(ids, [1.0 / n] * n, [0.0] * n, [0.0] * n)
+    law_ids = draw(st.permutations(ids))
+    if draw(st.booleans()):
+        law_ids = [i for i in law_ids if draw(st.integers(0, 4))]  # missing
+    if draw(st.booleans()):
+        law_ids += draw(st.lists(st.sampled_from(ids) | st.text(max_size=3), max_size=3))  # repeated or extra
+    law_ids = draw(st.permutations(law_ids))
+    if not law_ids:
+        law_ids = ids[:1]
+    m = len(law_ids)
+    keep = np.column_stack((np.ones(m, bool), draw(st.lists(st.booleans(), min_size=m, max_size=m))))
+    prob, x, y = (np.array(draw(st.lists(st.floats(-4, 4), min_size=2 * m, max_size=2 * m))).reshape(m, 2)
+                  for _ in range(3))
+    return model, LiftedLaw.from_pairs(law_ids, keep, prob, x, y)
+
+
+@given(case=_model_and_law())
+@settings(max_examples=400, deadline=None)
+def test_align_law_agrees_with_the_dict_oracle(case):
+    model, law = case
+    try:
+        want = _oracle_align_law(model, law)
+    except InvalidInputError as exc:
+        with pytest.raises(InvalidInputError) as got:
+            align_law(model, law)
+        assert str(got.value) == str(exc)
+        return
+    got = align_law(model, law)
+    if want is law:
+        assert got is law
+        return
+    ids, owner, prob, x, y = want
+    assert got.atom_ids() == ids
+    for a, b in ((got.owner, owner), (got.prob, prob), (got.x, x), (got.y, y)):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_law_ids_are_a_column_shared_with_the_model():
+    m = demo_model()
+    law = lift(m)
+    assert law.id_column is m.id_column and not m.id_column.flags.writeable
+    assert law.atom_ids() == m.ids() == ("a", "b")
+    assert all(type(i) is str for i in law.atom_ids())
+    assert law.mean("b") == (8.0, 8.0)
+    for missing in ("zz", 5, "a\ud800"):
+        with pytest.raises(KeyError):
+            law.mean(missing)
