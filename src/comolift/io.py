@@ -26,8 +26,9 @@ its rows, then to parse each block, cut after its last ``\\n`` (a byte no
 multibyte UTF-8 sequence holds), straight into the table's whole columns, so
 only one block's text and lines are held at once.  Any other file, or one that
 breaks a rule, is read again from the start by the row loop, which names the
-first fault.  Ids are held as one numpy ``StringDType`` column (numpy >= 2.0)
-from reader to writer.  One table writer lays out every CSV output row.
+first fault.  A pipe, which cannot seek back, is read once and held.  Ids are
+held as one numpy ``StringDType`` column (numpy >= 2.0) from reader to writer.
+One table writer lays out every CSV output row.
 
 The writer takes plain columns, formatted cell by cell, and coded columns:
 a list of cells and one code per row, so a value that repeats is formatted
@@ -48,6 +49,7 @@ from __future__ import annotations
 import csv
 import math
 import operator
+from io import BytesIO
 from pathlib import Path
 from itertools import chain, repeat
 from typing import BinaryIO, Iterable, Iterator, NamedTuple, Sequence, TextIO
@@ -158,10 +160,15 @@ def _read_table(path: str | Path, header: list[str], positive: Sequence[str] = (
     low = [0.0 if field in positive else -math.inf for field in header[1:]]
     try:
         with open(path, "rb") as fh:
-            table = _read_blocks(fh, header, low)
+            # A pipe can be read only once, so its bytes are held for both readers.
+            source = fh if fh.seekable() else BytesIO(fh.read())
+            table = _read_blocks(source, header, low)
+            if table is None:
+                source.seek(0)
+                table = _read_rows(source, name, header, low)
     except OSError as exc:
         raise InputFormatError(f"cannot read {name}: {exc}") from exc
-    return _read_rows(path, name, header, low) if table is None else table
+    return table
 
 
 def _line_blocks(fh: BinaryIO) -> Iterator[bytes]:
@@ -234,13 +241,11 @@ def _read_blocks(fh: BinaryIO, header: list[str], low: list[float]) -> tuple[np.
     return frozen_array(ids, ID_DTYPE), table.T
 
 
-def _read_rows(path: str | Path, name: str, header: list[str], low: list[float]) -> tuple[np.ndarray, np.ndarray]:
-    """The row loop, over the whole file read from the start: every wrong field count,
-    then an empty table, is named before the first id or value fault."""
+def _read_rows(source: BinaryIO, name: str, header: list[str], low: list[float]) -> tuple[np.ndarray, np.ndarray]:
+    """The row loop, over the whole file read again from the start: every wrong field
+    count, then an empty table, is named before the first id or value fault."""
     try:
-        text = Path(path).read_bytes().decode("utf-8")
-    except OSError as exc:
-        raise InputFormatError(f"cannot read {name}: {exc}") from exc
+        text = source.read().decode("utf-8")
     except UnicodeDecodeError as exc:
         line = len((exc.object[:exc.start].decode("utf-8") + "x").splitlines())
         raise InputFormatError(f"{name}:{line}: not UTF-8 text ({exc.reason})") from None

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import random
 import re
 import string
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -659,6 +661,25 @@ def test_a_file_that_changes_between_count_and_parse_goes_to_the_row_loop(tmp_pa
     monkeypatch.setattr(comolift_io, "_read_rows", lambda *args: calls.append(args) or read_rows(*args))
     assert _table_bytes(ingest_atoms(p)) == want
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("body", ["a,0.5,0,0\nb,0.5,8,8\n", "a,0.5,0,0\nb,0.5,x,8\n"], ids=["plain", "fault"])
+def test_a_pipe_is_read_like_a_file(tmp_path, body):
+    # A pipe cannot seek back for the second pass or the row loop: its bytes are read once and held.
+    text = "atom_id,weight,f,g\n" + body
+    p, fifo = tmp_path / "atoms.csv", tmp_path / "pipe"
+    p.write_text(text)
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_text, args=(text,), daemon=True)
+    writer.start()
+    got = _outcome(ingest_atoms, fifo)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    want = _outcome(ingest_atoms, p)
+    if isinstance(want, str):
+        assert got == want.replace(str(p), str(fifo))
+    else:
+        assert _table_bytes(got) == _table_bytes(want)
 
 
 _any_float = st.floats(allow_nan=False, allow_infinity=False)  # subnormals and both zeros included
