@@ -28,16 +28,19 @@ only one block's text and lines are held at once.  Any other file, or one that
 breaks a rule, is read again from the start by the row loop, which names the
 first fault.  A pipe, which cannot seek back, is read once and held.  Ids are
 held as one numpy ``StringDType`` column (numpy >= 2.0) from reader to writer.
-One table writer lays out every CSV output row.
+One table writer lays out every CSV output row: a slice of rows is one join
+over its cells, laid out between their ``,`` and ``\n`` separators.
 
 The writer takes plain columns, formatted cell by cell, and coded columns:
-a list of cells and one code per row, so a value that repeats is formatted
-once.  A sample row's atom id is coded by its atom index, and its xi,eta
-pair by its law branch: each branch point is formatted at most once per
-run, when a draw first emits it, and kept until the run ends.  Samples may
-arrive in chunks: the writer opens its file once and streams every chunk
-into it, so no more than one chunk of draws is held at a time, beside the
-cells of the distinct branches drawn so far (at most two per atom).
+an object array of cells and one code per row, so a value that repeats is
+formatted once and a slice's cells are one gather.  A sample row's atom id
+is coded by its atom index, and its xi,eta pair by its law branch: each
+branch point is formatted at most once per run, in the chunk whose draws
+first emit it, and kept until the run ends.  Samples may arrive in chunks:
+the writer opens its file once and streams every chunk into it, so no more
+than one chunk of draws is held at a time, the first too once it is
+written, beside the cells of the distinct branches drawn so far (at most
+two per atom).
 
 Reports serialize two ways: a flat key=value text block (summary fields
 first, then per-check statistic/threshold/pass triples) and CSV rows
@@ -310,9 +313,9 @@ def _open_out(path: str | Path) -> TextIO:
 
 
 class _Coded(NamedTuple):
-    """A column whose row k is ``cells[codes[k]]``."""
+    """A column whose row k is ``cells[codes[k]]``, with ``cells`` an object array."""
 
-    cells: Sequence[str]
+    cells: np.ndarray
     codes: np.ndarray
 
 
@@ -320,6 +323,8 @@ def _float_cells(values: np.ndarray) -> list[str]:
     """:func:`format_float` of each float64 value: ``repr``, but where a value is
     integral or infinite, formatted once per distinct value (+-0 both as ``0``)."""
     whole = values == np.trunc(values)
+    if not whole.any():
+        return list(map(repr, values.tolist()))
     cells = np.empty(values.size, dtype=object)
     cells[~whole] = list(map(repr, values[~whole].tolist()))
     distinct, code = np.unique(values[whole], return_inverse=True)
@@ -328,8 +333,8 @@ def _float_cells(values: np.ndarray) -> list[str]:
 
 
 def _cells(column: Sequence | _Coded, lo: int, hi: int) -> Iterable[str]:
-    if isinstance(column, _Coded):  # a list zips faster than a lazy gather
-        return list(map(column.cells.__getitem__, column.codes[lo:hi].tolist()))
+    if isinstance(column, _Coded):
+        return column.cells[column.codes[lo:hi]].tolist()
     part = column[lo:hi]
     if isinstance(part, np.ndarray):  # float64, or an id column
         return _float_cells(part) if part.dtype == np.float64 else part.tolist()
@@ -341,13 +346,21 @@ def _write_csv(path: str | Path, header: list[str], tables: Iterable[Sequence[Se
     table in turn.  Row k of a table holds item k of each of its columns, a
     float array's through :func:`format_float`, a coded column's cell, any
     other's through ``str``.  The first column, which sets the row count, is
-    not coded."""
+    not coded.  Each slice of rows is one join over its cells, laid out
+    between their ``,`` and ``\n`` separators."""
     with _open_out(path) as fh:
         fh.write(",".join(header) + "\n")
         for columns in tables:
-            for lo in range(0, len(columns[0]), _WRITE_ROWS):
-                cells = [_cells(column, lo, lo + _WRITE_ROWS) for column in columns]
-                fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+            k, rows = len(columns), len(columns[0])
+            # Cell j of a row sits at 2j, the separator after it at 2j + 1.
+            line = [","] * (2 * k)
+            line[-1] = "\n"
+            for lo in range(0, rows, _WRITE_ROWS):
+                hi = min(lo + _WRITE_ROWS, rows)
+                text = line * (hi - lo)
+                for j, column in enumerate(columns):
+                    text[2 * j::2 * k] = _cells(column, lo, hi)
+                fh.write("".join(text))
 
 
 def write_atoms_csv(model: FiltrationModel, path: str | Path) -> None:
@@ -392,11 +405,17 @@ def read_law_csv(path: str | Path) -> LiftedLaw:
     probabilities (lambda, 1 - lambda) for the verifier to judge.
     """
     ids, (lam, u1, v1, u2, v2) = _read_table(path, _LAW_HEADER)
-    single = (u1 == u2) & (v1 == v2) & ((lam == 0.0) | (lam == 1.0))
-    # A collapsed row keeps only its first point, with probability 1.
-    keep = np.column_stack((np.ones_like(single), ~single))
-    return LiftedLaw.from_pairs(ids, keep, np.column_stack((np.where(single, 1.0, lam), 1.0 - lam)),
-                                np.column_stack((u1, u2)), np.column_stack((v1, v2)))
+    two = ~((u1 == u2) & (v1 == v2) & ((lam == 0.0) | (lam == 1.0)))
+    # Row i's first branch follows the branches of the rows before it; its second, if kept,
+    # follows the first.  A collapsed row keeps only its first point, with probability 1.
+    first = np.cumsum(two) - two + np.arange(two.size)
+    second = first[two] + 1
+    owner = np.repeat(np.arange(two.size), 1 + two)
+    prob, x, y = np.empty(owner.size), np.empty(owner.size), np.empty(owner.size)
+    prob[first], prob[second] = np.where(two, lam, 1.0), 1.0 - lam[two]
+    x[first], x[second] = u1, u2[two]
+    y[first], y[second] = v1, v2[two]
+    return LiftedLaw.from_columns(ids, owner, prob, x, y)
 
 
 def write_samples_csv(samples: Samples | Iterable[Samples], path: str | Path) -> None:
@@ -405,26 +424,30 @@ def write_samples_csv(samples: Samples | Iterable[Samples], path: str | Path) ->
     ``samples`` is one :class:`Samples` or the chunks of one run in draw
     order, one or more, such as :func:`~comolift.lifting.sample_chunks`
     yields: they share the first chunk's ids and law columns, and only one
-    is held at a time.
+    is held at a time, the first too once it is written.
     The ids are checked before the file is opened.  A law branch's point is
     formatted once, when a draw first emits it, and its cell kept for the
-    rest of the run: a run formats and keeps no more points than the
-    distinct branches it draws, which pays off when draws repeat branches.
+    rest of the run: each chunk formats the branches it draws first, found
+    by one bool scatter over the branches, as one float slice per
+    coordinate.  A run formats and keeps no more points than the distinct
+    branches it draws, which pays off when draws repeat branches.
     """
     chunks = iter((samples,) if isinstance(samples, Samples) else samples)
     head = next(chunks)
     _require_good_ids(head.ids)
-    ids = head.ids.tolist()  # atom i's id cell
-    points = [""] * head.x.size  # branch b's "x,y" cell, once a draw has emitted b
+    ids = head.ids.astype(object)  # atom i's id cell
+    points = np.empty(head.x.size, dtype=object)  # branch b's "x,y" cell, once a draw has emitted b
     pending = np.ones(head.x.size, dtype=bool)
+    chunks = chain((head,), chunks)
+    del head
 
     def tables() -> Iterator[tuple]:
-        for s in chain((head,), chunks):
-            new = np.flatnonzero(pending & (np.bincount(s.branch, minlength=pending.size) > 0))
+        for s in chunks:
+            hit = np.zeros_like(pending)
+            hit[s.branch] = True
+            new = np.flatnonzero(hit & pending)
             pending[new] = False
-            xs, ys = map(format_float, s.x[new].tolist()), map(format_float, s.y[new].tolist())
-            for b, x, y in zip(new.tolist(), xs, ys):
-                points[b] = x + "," + y
+            points[new] = list(map("{},{}".format, _float_cells(s.x[new]), _float_cells(s.y[new])))
             yield range(s.start, s.start + len(s)), _Coded(ids, s.idx), s.u, _Coded(points, s.branch)
 
     _write_csv(path, _SAMPLES_HEADER, tables())

@@ -66,7 +66,7 @@ Branches = tuple[tuple[float, Point2], ...]
 
 #: Draws per :class:`Samples` that :func:`sample_chunks` yields, so a streamed
 #: run holds one chunk of draws at a time; the draws do not depend on it.
-_DRAW_CHUNK = 65_536
+_DRAW_CHUNK = 16_384
 
 
 class LiftedLaw:
@@ -78,7 +78,8 @@ class LiftedLaw:
     branches are contiguous, so ``owner`` is nondecreasing.
 
     ``LiftedLaw(branches)`` builds the columns from a mapping atom id ->
-    ((prob, point), ...); :meth:`from_pairs` from per-atom pairs of slots.
+    ((prob, point), ...); :meth:`from_pairs` from per-atom pairs of slots,
+    and :meth:`from_columns` takes them as they are.
     """
 
     def __init__(self, branches: Mapping[str, Branches]) -> None:
@@ -109,8 +110,17 @@ class LiftedLaw:
 
         Unchecked: every row of ``keep`` must hold at least one true slot.
         """
+        return cls.from_columns(atom_ids, np.flatnonzero(keep) // keep.shape[1], prob[keep], x[keep], y[keep])
+
+    @classmethod
+    def from_columns(cls, atom_ids: Sequence[str], owner: np.ndarray, prob: np.ndarray,
+                     x: np.ndarray, y: np.ndarray) -> LiftedLaw:
+        """A law from its flat branch columns, as the class docstring lays them out.
+
+        Unchecked: ``owner`` must be nondecreasing and name every atom.
+        """
         law = cls.__new__(cls)
-        law._init(id_column(atom_ids), np.nonzero(keep)[0], prob[keep], x[keep], y[keep])
+        law._init(id_column(atom_ids), owner, prob, x, y)
         return law
 
     def _init(self, atom_ids: np.ndarray, owner, prob, x, y) -> None:
@@ -225,9 +235,7 @@ def align_law(model: FiltrationModel, law: LiftedLaw) -> LiftedLaw:
     rank = np.empty(ids.size, dtype=np.int64)
     rank[by_law] = by_model
     order = np.argsort(rank[law.owner], kind="stable")
-    aligned = LiftedLaw.__new__(LiftedLaw)
-    aligned._init(ids, rank[law.owner[order]], law.prob[order], law.x[order], law.y[order])
-    return aligned
+    return LiftedLaw.from_columns(ids, rank[law.owner[order]], law.prob[order], law.x[order], law.y[order])
 
 
 def lift(model: FiltrationModel) -> LiftedLaw:

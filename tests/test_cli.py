@@ -504,22 +504,27 @@ def test_chunked_sample_equals_the_whole_run(tmp_path, monkeypatch, chunk, full,
 def test_sample_formats_each_branch_point_once(tmp_path, monkeypatch, draws, chunk):
     # Only u is new per draw: N draws may format at most N floats plus the x
     # and y of each law branch they emit, once per run, not once per chunk.
-    # u goes through the float-slice formatter, the branch points one by one
-    # through format_float; both are counted (the slice formatter calls
-    # format_float only where u == 0, which these runs never draw).
+    # u and the branch points go through the float-slice formatter, which
+    # calls format_float for its integral values; each float is counted once,
+    # by the slice formatter, or by format_float where called outside it.
     monkeypatch.setattr(lifting, "_DRAW_CHUNK", chunk)
     atoms, out = tmp_path / "atoms.csv", tmp_path / "samples.csv"
     write_atoms_csv(random_model(50, seed=6), atoms)
     branches = lift(ingest_atoms(atoms)).x.size
-    calls, format_float, float_cells = [], comolift_io.format_float, comolift_io._float_cells
+    calls, inside, format_float, float_cells = [], [], comolift_io.format_float, comolift_io._float_cells
 
     def counting(value):
-        calls.append(value)
+        if not inside:
+            calls.append(value)
         return format_float(value)
 
     def counting_slice(values):
         calls.extend(values.tolist())
-        return float_cells(values)
+        inside.append(values)
+        try:
+            return float_cells(values)
+        finally:
+            inside.pop()
 
     monkeypatch.setattr(comolift_io, "format_float", counting)
     monkeypatch.setattr(comolift_io, "_float_cells", counting_slice)
