@@ -87,6 +87,9 @@ _ATOMS_HEADER = ["atom_id", "weight", "f", "g"]
 _LAW_HEADER = ["atom_id", "lambda", "u1", "v1", "u2", "v2"]
 _SAMPLES_HEADER = ["sample_id", "atom_id", "u", "xi", "eta"]
 _CURVE_HEADER = ["stage", "kind", "ax", "ay", "bx", "by"]
+#: What a law row cannot hold, in the order write_law_csv checks it, after at most two branches.
+_LAW_ROW_FAULTS = ("a value that is not finite", "one branch of probability other than 1",
+                   "probabilities other than (p, 1 - p)", "two branches at one point, one of probability 0")
 #: Rows formatted and written per slice by the table writer; the bytes do not depend on it.
 _WRITE_ROWS = 4096
 #: Bytes read per block by the table reader's bulk path; the table does not depend on it.
@@ -368,32 +371,46 @@ def write_atoms_csv(model: FiltrationModel, path: str | Path) -> None:
     _write_csv(path, _ATOMS_HEADER, [(model.id_column, model.weights(), model.f, model.g)])
 
 
+def _law_slice(law: LiftedLaw, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+    """Atoms [lo, hi) of ``law``: each one's first and last branch, and its law
+    row's value columns (lambda, u1, v1, u2, v2)."""
+    first, last = law.ends(lo, hi)
+    u1, v1 = law.x[first], law.y[first]
+    return first, last, (np.where(first == last, np.where(u1 < 0.0, 1.0, 0.0), law.prob[first]),
+                         u1, v1, law.x[last], law.y[last])
+
+
 def write_law_csv(law: LiftedLaw, path: str | Path) -> None:
     """One row per atom, in the law's own atom order.
 
     Two-branch atoms store lambda and both points.  Single-branch atoms
     repeat their point in both slots, with lambda 1 when the point sits on a
     negative vertical side (x < 0) and 0 otherwise.  A law that cannot be
-    written, or not read back unchanged, is rejected before the file is opened.
+    written, or not read back unchanged, is rejected before the file is opened:
+    the first rule any atom breaks is reported, at the first atom that breaks
+    it.  The law is checked, then written, one write slice of atoms at a time.
     """
     ids = law.id_column
     _require_good_ids(ids)
-    first, last = law.ends()
-    wide = last - first > 1
-    if np.any(wide):
-        i = int(np.argmax(wide))
-        raise InputFormatError(f"atom {ids[i]!r}: cannot serialize {last[i] - first[i] + 1} branches")
-    u1, v1, u2, v2, p = law.x[first], law.y[first], law.x[last], law.y[last], law.prob[first]
-    single = first == last
-    columns = (np.where(single, np.where(u1 < 0.0, 1.0, 0.0), p), u1, v1, u2, v2)
-    collapses = (u1 == u2) & (v1 == v2) & ((p == 0.0) | (p == 1.0))
-    for bad, what in ((~np.logical_and.reduce(list(map(np.isfinite, columns))), "a value that is not finite"),
-                      (single & (p != 1.0), "one branch of probability other than 1"),
-                      (~single & (law.prob[last] != 1.0 - p), "probabilities other than (p, 1 - p)"),
-                      (~single & collapses, "two branches at one point, one of probability 0")):
-        if np.any(bad):
-            raise InputFormatError(f"atom {ids[int(np.argmax(bad))]!r}: a law row cannot hold {what}")
-    _write_csv(path, _LAW_HEADER, [(ids, *columns)])
+    slices = [(lo, min(lo + _WRITE_ROWS, ids.size)) for lo in range(0, ids.size, _WRITE_ROWS)]
+    broken: dict[int, int] = {}  # rule -> first atom that breaks it
+    for lo, hi in slices:
+        first, last, columns = _law_slice(law, lo, hi)
+        u1, v1, u2, v2, p, single = *columns[1:], law.prob[first], first == last
+        collapses = (u1 == u2) & (v1 == v2) & ((p == 0.0) | (p == 1.0))
+        for rule, bad in enumerate((last - first > 1,
+                                    ~np.logical_and.reduce(list(map(np.isfinite, columns))),
+                                    single & (p != 1.0),
+                                    ~single & (law.prob[last] != 1.0 - p),
+                                    ~single & collapses)):
+            if rule not in broken and np.any(bad):
+                broken[rule] = lo + int(np.argmax(bad))
+    if broken:
+        rule, i = min(broken.items())
+        what = (f"cannot serialize {np.count_nonzero(law.owner == i)} branches" if rule == 0
+                else f"a law row cannot hold {_LAW_ROW_FAULTS[rule - 1]}")
+        raise InputFormatError(f"atom {ids[i]!r}: {what}")
+    _write_csv(path, _LAW_HEADER, ((ids[lo:hi], *_law_slice(law, lo, hi)[2]) for lo, hi in slices))
 
 
 def read_law_csv(path: str | Path) -> LiftedLaw:

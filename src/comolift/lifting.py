@@ -133,11 +133,13 @@ class LiftedLaw:
     def atom_ids(self) -> tuple[str, ...]:
         return tuple(self.id_column.tolist())
 
-    def ends(self) -> tuple[np.ndarray, np.ndarray]:
-        """Column index of each atom's first and last branch, in law order."""
-        counts = np.bincount(self.owner, minlength=self.id_column.size)
-        last = np.cumsum(counts) - 1
-        return last - counts + 1, last
+    def ends(self, lo: int = 0, hi: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Column index of the first and last branch of each atom at positions
+        [lo, hi) of ``id_column`` (all of them by default), in law order:
+        ``owner`` is nondecreasing, so each atom's branches are one run."""
+        hi = self.id_column.size if hi is None else hi
+        bounds = np.searchsorted(self.owner, np.arange(lo, hi + 1))
+        return bounds[:-1], bounds[1:] - 1
 
     @cached_property
     def branches(self) -> dict[str, Branches]:

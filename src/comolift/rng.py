@@ -9,12 +9,15 @@ the in-block offset.
 
 Uniform doubles use the top 53 bits of a word: u = (w >> 11) * 2^-53, giving
 the standard dyadic grid on [0, 1).
+
+``numpy.random`` is imported on the first draw, not with the module: only
+drawing needs it, and it adds about 6 MB to a process (it loads OpenSSL's
+libcrypto too), so ``lift`` and ``verify`` without samples never load it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.random import Philox
 
 from .errors import InvalidInputError
 
@@ -39,6 +42,8 @@ def raw_words(seed: int, start: int, count: int) -> np.ndarray:
     key, start, count = _checked(seed, start, count)
     if count == 0:
         return np.empty(0, dtype=np.uint64)
+    from numpy.random import Philox  # loaded on the first draw: see the module docstring
+
     block, offset = divmod(start, 4)
     bits = Philox(key=key, counter=[block, 0, 0, 0])
     return bits.random_raw(offset + count)[offset:]

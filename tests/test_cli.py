@@ -5,9 +5,11 @@ from __future__ import annotations
 import hashlib
 import io
 import math
+import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -293,6 +295,31 @@ def test_module_entry_point(tmp_path):
     assert proc.returncode == 2
 
 
+_FOOTPRINT = """
+import sys
+from comolift.cli import main
+atoms, law, samples = sys.argv[1:]
+assert main(["lift", "--input", atoms, "--output", law]) == 0
+assert main(["verify", "--input", atoms, "--law", law]) == 0
+assert "numpy.random" not in sys.modules, "lift or verify loaded numpy.random"
+assert main(["sample", "--input", atoms, "--output", samples, "--samples", "10"]) == 0
+assert "numpy.random" in sys.modules, "sample drew without numpy.random"
+"""
+
+
+def test_commands_that_draw_nothing_leave_numpy_random_unloaded(tmp_path):
+    # numpy.random, and the OpenSSL it loads, add about 6 MB to a process: only
+    # a draw may load it.  pytest and hypothesis may have loaded it here, so the
+    # commands run in a fresh interpreter on this checkout's package.
+    atoms = tmp_path / "atoms.csv"
+    write_atoms_csv(random_model(5, seed=3), atoms)
+    proc = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT, str(atoms), str(tmp_path / "law.csv"), str(tmp_path / "s.csv")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 # Byte identity of every CLI output.  The digests below pin stdout and each
 # written file, as SHA-256, for a set of inputs at the edges of the formulas:
 # gauges at most 1, gauges that are exact powers of two, payoffs on a stage's
@@ -500,7 +527,8 @@ def test_chunked_sample_equals_the_whole_run(tmp_path, monkeypatch, chunk, full,
     assert out.read_bytes() == whole.read_bytes()
 
 
-@pytest.mark.parametrize("draws, chunk", [(5000, lifting._DRAW_CHUNK), (10, lifting._DRAW_CHUNK), (5000, 7)])
+@pytest.mark.parametrize("draws, chunk", [(5000, lifting._DRAW_CHUNK), (10, lifting._DRAW_CHUNK), (5000, 7)],
+                         ids=["5000-default", "10-default", "5000-7"])
 def test_sample_formats_each_branch_point_once(tmp_path, monkeypatch, draws, chunk):
     # Only u is new per draw: N draws may format at most N floats plus the x
     # and y of each law branch they emit, once per run, not once per chunk.

@@ -249,6 +249,18 @@ def test_raw_words_random_access():
     assert float(u.min()) >= 0.0 and float(u.max()) < 1.0
 
 
+def test_raw_words_pin_the_philox_stream():
+    # The keyed stream itself, word for word: a key of 2^130 + 5 is reduced
+    # to 128 bits, and a start of 3 drops three words of the first block.
+    words = raw_words(123, 0, 8)
+    assert words.dtype == np.uint64
+    assert words.tolist() == [
+        9537063319652977059, 3390518576182089146, 3926154546752916123, 3873248160020931364,
+        6692778500501327886, 1961065181241252318, 17084198493701737436, 8511904755730521554]
+    assert raw_words(2**130 + 5, 3, 4).tolist() == [
+        8178605492699859198, 4593217736961924102, 12499342411136185311, 13713093298565872893]
+
+
 def test_rng_validates():
     with pytest.raises(InvalidInputError):
         raw_words(1, -1, 4)

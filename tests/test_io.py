@@ -783,6 +783,59 @@ def test_law_writer_refuses_a_law_a_row_cannot_hold(tmp_path, branches, what):
         assert verify_model(model, read_law_csv(path)).overall_pass
 
 
+def _whole_law_refusal(law):
+    """The law writer's refusal as it was when it checked the whole law at once:
+    each rule over every atom in turn, naming the first atom that breaks it."""
+    ids = law.id_column
+    counts = np.bincount(law.owner, minlength=ids.size)
+    last = np.cumsum(counts) - 1
+    first = last - counts + 1
+    if np.any(counts > 2):
+        i = int(np.argmax(counts > 2))
+        return f"atom {ids[i]!r}: cannot serialize {counts[i]} branches"
+    u1, v1, u2, v2, p = law.x[first], law.y[first], law.x[last], law.y[last], law.prob[first]
+    single = first == last
+    lam = np.where(single, np.where(u1 < 0.0, 1.0, 0.0), p)
+    collapses = (u1 == u2) & (v1 == v2) & ((p == 0.0) | (p == 1.0))
+    for bad, what in ((~(np.isfinite(lam) & np.isfinite(u1) & np.isfinite(v1) & np.isfinite(u2) & np.isfinite(v2)),
+                       "a value that is not finite"),
+                      (single & (p != 1.0), "one branch of probability other than 1"),
+                      (~single & (law.prob[last] != 1.0 - p), "probabilities other than (p, 1 - p)"),
+                      (~single & collapses, "two branches at one point, one of probability 0")):
+        if np.any(bad):
+            return f"atom {ids[int(np.argmax(bad))]!r}: a law row cannot hold {what}"
+    return None
+
+
+@given(laws=st.lists(st.lists(st.tuples(st.sampled_from([0.0, 0.4, 0.6, 1.0, math.nan]),
+                                        st.sampled_from([-4.0, 0.0, 4.0, math.inf])), min_size=1, max_size=3),
+                     min_size=1, max_size=12),
+       rows=st.integers(1, 5))
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_law_writer_refuses_slice_by_slice_as_the_whole_law_did(tmp_path, monkeypatch, laws, rows):
+    # Checked a write slice at a time, a law breaking several rules across
+    # slices still reports the first rule broken anywhere, at its first atom;
+    # a law it writes reads the same whatever the slice size.
+    owner = np.repeat(np.arange(len(laws)), [len(branches) for branches in laws])
+    prob, x = np.array([branch for branches in laws for branch in branches]).T.reshape(2, -1)
+    law = LiftedLaw.from_columns([f"a{i}" for i in range(len(laws))], owner, prob, x, x / 2)
+    path, whole = tmp_path / "law.csv", tmp_path / "whole.csv"
+    path.unlink(missing_ok=True)
+    refusal = _whole_law_refusal(law)
+    if refusal is None:
+        write_law_csv(law, whole)
+    with monkeypatch.context() as patch:
+        patch.setattr(comolift_io, "_WRITE_ROWS", rows)
+        if refusal is None:
+            write_law_csv(law, path)
+            assert path.read_bytes() == whole.read_bytes()
+            return
+        with pytest.raises(InputFormatError) as refused:
+            write_law_csv(law, path)
+    assert str(refused.value) == refusal
+    assert not path.exists()
+
+
 def test_law_writer_refuses_a_value_that_is_not_finite(tmp_path):
     path = tmp_path / "law.csv"
     for prob, x in ((0.5, math.inf), (math.nan, 1.0)):
