@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -51,6 +52,7 @@ __all__ = [
     "sample_u",
     "sample_u_arrays",
     "frozen_array",
+    "fsum_column",
     "id_column",
     "ID_DTYPE",
 ]
@@ -63,6 +65,9 @@ WEIGHT_SUM_TOL = 1e-12
 #: The dtype of every atom-id column: UTF-8 text, an id of up to 15 bytes stored
 #: inline in 16; an id that is not a ``str`` is refused, not converted.
 ID_DTYPE = np.dtypes.StringDType(coerce=False)
+
+#: Values :func:`fsum_column` turns into Python floats at a time; the sum does not depend on it.
+_SUM_SLICE = 4096
 
 
 @dataclass(frozen=True, slots=True)
@@ -89,6 +94,14 @@ def frozen_array(values, dtype=np.float64) -> np.ndarray:
     arr = np.asarray(values, dtype=dtype)
     arr.flags.writeable = False
     return arr
+
+
+def fsum_column(values: np.ndarray) -> float:
+    """``math.fsum(values.tolist())`` of a 1-d array, fed one slice at a time: the
+    same values in the same order, so the same sum or exception, without a list
+    of every value."""
+    return math.fsum(chain.from_iterable(
+        values[lo:lo + _SUM_SLICE].tolist() for lo in range(0, values.size, _SUM_SLICE)))
 
 
 def id_column(ids) -> np.ndarray:
@@ -156,7 +169,7 @@ class FiltrationModel:
             seen: set[str] = set()
             repeat = next(atom_id for atom_id in ids.tolist() if atom_id in seen or seen.add(atom_id))
             raise InvalidInputError(f"duplicate atom id {repeat!r}")
-        total = math.fsum(weights.tolist())
+        total = fsum_column(weights)
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise InvalidInputError(f"atom weights must sum to 1 within {WEIGHT_SUM_TOL}, got {total!r}")
         object.__setattr__(self, "id_column", ids)

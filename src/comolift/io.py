@@ -60,7 +60,7 @@ from typing import BinaryIO, Iterable, Iterator, NamedTuple, Sequence, TextIO
 import numpy as np
 
 from .errors import InputFormatError
-from .filtration import ID_DTYPE, FiltrationModel, frozen_array
+from .filtration import ID_DTYPE, FiltrationModel, frozen_array, fsum_column
 from .geometry import Segment, curve_segments
 from .lifting import LiftedLaw, Samples
 from .verification import VerificationReport
@@ -93,7 +93,7 @@ _LAW_ROW_FAULTS = ("a value that is not finite", "one branch of probability othe
 #: Rows formatted and written per slice by the table writer; the bytes do not depend on it.
 _WRITE_ROWS = 4096
 #: Bytes read per block by the table reader's bulk path; the table does not depend on it.
-_READ_BYTES = 1 << 18
+_READ_BYTES = 1 << 16
 #: A quote, and every line break of str.splitlines but "\n": text holding none is plain.
 _NOT_PLAIN = '"\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029'
 #: Every character that str.isspace accepts, and so str.strip removes.
@@ -300,7 +300,7 @@ def ingest_atoms(path: str | Path) -> FiltrationModel:
     """
     ids, (weights, f, g) = _read_table(path, _ATOMS_HEADER, positive=("weight",))
     try:
-        total = math.fsum(weights.tolist())
+        total = fsum_column(weights)
     except OverflowError:  # finite weights whose sum passes the float range
         total = math.inf
     if abs(total - 1.0) > WEIGHT_RENORM_TOL:

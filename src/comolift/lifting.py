@@ -1,9 +1,12 @@
 """Per-atom two-point laws whose conditional mean reproduces the payoffs.
 
-``lift`` decomposes every atom's payoff in one :func:`decompose_batch` call
-and stores the result as a small discrete law on the staircase curve: two
-branches (lam at e1, 1-lam at e2), collapsed to a single branch when lam is
-exactly 0 or 1.  Pooled over atoms, the branch points all lie on one
+``lift`` decomposes the payoffs a slice of atoms at a time, each slice in one
+:func:`decompose_batch` call written straight into preallocated (atom, slot)
+arrays of probability, x and y, and stores the result as a small discrete law
+on the staircase curve: two branches (lam at e1, 1-lam at e2), collapsed to a
+single branch when lam is exactly 0 or 1.  When no atom collapses, the law's
+columns are views of those arrays, so ``lift`` holds no more than the law and
+one slice's temporaries.  Pooled over atoms, the branch points all lie on one
 monotone curve, so the lifted pair is comonotone while conditionally
 averaging back to the original payoffs.
 
@@ -67,6 +70,8 @@ Branches = tuple[tuple[float, Point2], ...]
 #: Draws per :class:`Samples` that :func:`sample_chunks` yields, so a streamed
 #: run holds one chunk of draws at a time; the draws do not depend on it.
 _DRAW_CHUNK = 16_384
+#: Atoms :func:`lift` decomposes at a time; the law does not depend on it.
+_LIFT_SLICE = 4096
 
 
 class LiftedLaw:
@@ -107,9 +112,12 @@ class LiftedLaw:
                    x: np.ndarray, y: np.ndarray) -> LiftedLaw:
         """A law from (n, 2) arrays: atom i's branches are its first and
         second slot, (prob[i, j], (x[i, j], y[i, j])), where keep[i, j] holds.
+        When every slot is kept, the law's columns are the arrays, raveled.
 
         Unchecked: every row of ``keep`` must hold at least one true slot.
         """
+        if keep.all():  # nothing to drop, so nothing to gather
+            return cls.from_columns(atom_ids, np.arange(keep.size) // keep.shape[1], prob.ravel(), x.ravel(), y.ravel())
         return cls.from_columns(atom_ids, np.flatnonzero(keep) // keep.shape[1], prob[keep], x[keep], y[keep])
 
     @classmethod
@@ -246,16 +254,20 @@ def lift(model: FiltrationModel) -> LiftedLaw:
     Exact-boundary weights collapse: lam == 0.0 keeps only e2, lam == 1.0
     keeps only e1, so no branch ever carries probability zero.
     """
-    try:
-        lam, e1x, e1y, e2x, e2y = decompose_batch(model.f, model.g)[1:]
-    except InvalidInputError as exc:
-        bad = int(np.argmax(gauge_batch(model.f, model.g) > GAUGE_CAP))
-        raise InvalidInputError(f"atom {model.id_column[bad]!r}: {exc}") from exc
-    # Each atom's two slots side by side; the slot whose weight is exactly 0 is dropped.
-    keep = np.column_stack((lam != 0.0, lam != 1.0))
-    prob, x, y = np.column_stack((lam, 1.0 - lam)), np.column_stack((e1x, e2x)), np.column_stack((e1y, e2y))
-    del lam, e1x, e1y, e2x, e2y  # freed before the law gathers its columns: a lower peak
-    return LiftedLaw.from_pairs(model.id_column, keep, prob, x, y)
+    # Atom i's two slots are row i: (lam, e1) and (1 - lam, e2).
+    n = model.id_column.size
+    prob, x, y = np.empty((n, 2)), np.empty((n, 2)), np.empty((n, 2))
+    for lo in range(0, n, _LIFT_SLICE):
+        rows = slice(lo, lo + _LIFT_SLICE)
+        f, g = model.f[rows], model.g[rows]
+        try:
+            _, lam, x[rows, 0], y[rows, 0], x[rows, 1], y[rows, 1] = decompose_batch(f, g)
+        except InvalidInputError as exc:  # the atoms before this slice passed, so the first bad one is in it
+            bad = lo + int(np.argmax(gauge_batch(f, g) > GAUGE_CAP))
+            raise InvalidInputError(f"atom {model.id_column[bad]!r}: {exc}") from exc
+        prob[rows, 0], prob[rows, 1] = lam, 1.0 - lam
+    # The slot whose weight is exactly 0 is dropped: lam is finite, and 1 - lam is 0 exactly when lam is 1.
+    return LiftedLaw.from_pairs(model.id_column, prob != 0.0, prob, x, y)
 
 
 def sample_table(model: FiltrationModel, law: LiftedLaw) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -46,7 +46,7 @@ import numpy as np
 
 from .decomposition import decompose_batch
 from .errors import InvalidInputError
-from .filtration import FiltrationModel
+from .filtration import FiltrationModel, fsum_column
 from .geometry import MAX_STAGE, Point2, curve_distance_batch, gauge_batch
 from .lifting import LiftedLaw, align_law, norm_bound_columns, sample_lift_arrays, sample_table
 
@@ -269,7 +269,7 @@ def verify_model(
     tower_err = math.inf  # an infinite or NaN mean, which fsum cannot total
     if np.isfinite(mx).all() and np.isfinite(my).all():
         lhs_f, lhs_g, rhs_f, rhs_g, abs_f, abs_g = (
-            math.fsum((w * v).tolist()) for v in (f, g, mx, my, np.abs(f), np.abs(g))
+            fsum_column(w * v) for v in (f, g, mx, my, np.abs(f), np.abs(g))
         )
         tower_err = max(abs(lhs_f - rhs_f), abs(lhs_g - rhs_g)) / max(1.0, abs_f, abs_g)
     det.append(CheckRow("tower_property", tower_err, tol, tower_err <= tol))

@@ -7,9 +7,10 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from comolift import filtration
 from comolift.errors import InvalidEventError, InvalidInputError
 from comolift.filtration import (
     WEIGHT_SUM_TOL,
@@ -19,6 +20,7 @@ from comolift.filtration import (
     atomless_split,
     b_t_event,
     cond_exp_indicator,
+    fsum_column,
     sample_u,
     sample_u_arrays,
     u_le_h_event,
@@ -304,3 +306,29 @@ def test_sample_u_validates():
     with pytest.raises(InvalidInputError):
         sample_u(m, -1, seed=1)
     assert sample_u(m, 0, seed=1) == []
+
+
+def _sum_outcome(total, values):
+    try:
+        return repr(total(values))  # repr tells -0.0 from 0.0, and nan from a number
+    except (OverflowError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+# Values where fsum is special: +-inf and nan, signed zeros, subnormals, and
+# finite values whose running sum overflows, which fsum raises on.
+_sum_value = st.floats() | st.sampled_from(
+    [math.inf, -math.inf, math.nan, 0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1.7e308, -1.7e308, 1.7976931348623157e308])
+
+
+@given(values=st.lists(_sum_value, max_size=30), slice_values=st.one_of(st.integers(1, 7), st.none()))
+@settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_fsum_column_is_fsum_of_the_whole_list(monkeypatch, values, slice_values):
+    # Slices of 1 to 7 values, or the default slice with the drawn values
+    # straddling its first boundary.
+    if slice_values is None:
+        values = [0.5] * (filtration._SUM_SLICE - len(values) // 2) + values
+    else:
+        monkeypatch.setattr(filtration, "_SUM_SLICE", slice_values)
+    column = np.array(values, dtype=np.float64)
+    assert _sum_outcome(fsum_column, column) == _sum_outcome(lambda c: math.fsum(c.tolist()), column)

@@ -952,8 +952,10 @@ def test_negative_zero_is_written_as_0_and_reads_back_as_positive_zero(tmp_path)
 
 
 def test_ingest_atoms_holds_less_than_the_file_it_reads(tmp_path):
-    # The plain reader holds one block of text and lines at a time, and the model
-    # one id column: no list of every line, and no str object per id.
+    # The plain reader holds one block of text and lines at a time, the model one
+    # id column, and the weight sum one slice of floats: no list of every line,
+    # every value or every id.  The 6.58 MB file peaks at 8.62 MB (1.31x); with
+    # 256 KiB blocks and a whole-column fsum it peaked at 11.54 MB (1.75x).
     n = 100_000
     rng = np.random.default_rng(7)
     w = rng.uniform(0.5, 1.5, n)
@@ -971,7 +973,7 @@ def test_ingest_atoms_holds_less_than_the_file_it_reads(tmp_path):
     finally:
         tracemalloc.stop()
     assert len(m) == n
-    assert peak - base <= 2.5 * size, (peak - base) / size
+    assert peak - base <= 1.5 * size, (peak - base) / size
     assert held - base <= 1.0 * size, (held - base) / size
 
 

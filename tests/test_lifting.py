@@ -3,17 +3,20 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from collections import Counter
 from itertools import repeat
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from comolift import lifting
+from comolift.decomposition import decompose_batch
 from comolift.errors import InvalidInputError
 from comolift.filtration import Atom, FiltrationModel, sample_u
-from comolift.geometry import Point2, gauge, on_curve
+from comolift.geometry import GAUGE_CAP, Point2, gauge, gauge_batch, on_curve
 from comolift.lifting import (
     LiftedLaw,
     SamplePair,
@@ -221,6 +224,71 @@ def test_lift_error_names_the_atom():
     m = FiltrationModel([Atom("huge", 1.0, Point2(math.ldexp(1.0, 1022), 0.0))])
     with pytest.raises(InvalidInputError, match="huge"):
         lift(m)
+
+
+def _whole_column_lift(model):
+    """lift by one decompose_batch over every atom and a gather from stacked slots,
+    as it was before it worked a slice at a time."""
+    try:
+        lam, e1x, e1y, e2x, e2y = decompose_batch(model.f, model.g)[1:]
+    except InvalidInputError as exc:
+        bad = int(np.argmax(gauge_batch(model.f, model.g) > GAUGE_CAP))
+        raise InvalidInputError(f"atom {model.id_column[bad]!r}: {exc}") from exc
+    keep = np.column_stack((lam != 0.0, lam != 1.0))
+    prob, x, y = np.column_stack((lam, 1.0 - lam)), np.column_stack((e1x, e2x)), np.column_stack((e1y, e2y))
+    return LiftedLaw.from_columns(model.id_column, np.flatnonzero(keep) // 2, prob[keep], x[keep], y[keep])
+
+
+def _lift_outcome(lift_fn, model):
+    try:
+        law = lift_fn(model)
+    except InvalidInputError as exc:
+        return str(exc)
+    assert law.id_column is model.id_column
+    return [(c.dtype, c.tobytes()) for c in (law.owner, law.prob, law.x, law.y)]
+
+
+# A payoff drawn as a point, moved onto a vertical side of its stage (e1 or e2 of its
+# decomposition, where lam is exactly 1 or 0), or pushed past the gauge cap.
+_payoff = st.tuples(st.floats(-1e300, 1e300), st.floats(-1e300, 1e300), st.sampled_from(["point", "e1", "e2", "huge"]))
+
+
+@given(payoffs=st.lists(_payoff, min_size=1, max_size=30),
+       slice_atoms=st.one_of(st.integers(1, 7), st.just(lifting._LIFT_SLICE)))
+@example(payoffs=[(1.0, 2.0, "point")] * 3 + [(1.0, 2.0, "huge"), (1.0, 2.0, "point"), (3.0, 0.0, "huge")],
+         slice_atoms=2)
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_sliced_lift_agrees_with_the_whole_column_oracle(monkeypatch, payoffs, slice_atoms):
+    # Slices of 1 to 7 atoms put a collapsed atom or the first over-cap one in any
+    # slice; the error must still name the first over-cap atom.
+    monkeypatch.setattr(lifting, "_LIFT_SLICE", slice_atoms)
+    x, y, kind = (np.array(c) for c in zip(*payoffs))
+    _, _, e1x, e1y, e2x, e2y = decompose_batch(x, y)
+    on_e1, on_e2 = kind == "e1", kind == "e2"
+    x, y = np.select([on_e1, on_e2, kind == "huge"], [e1x, e2x, 1e308], x), np.select([on_e1, on_e2], [e1y, e2y], y)
+    n = len(payoffs)
+    model = FiltrationModel.from_columns([f"m{i}" for i in range(n)], [1.0 / n] * n, x, y)
+    assert _lift_outcome(lift, model) == _lift_outcome(_whole_column_lift, model)
+
+
+def test_lift_peak_memory_is_the_law_plus_one_slice():
+    # lift decomposes a slice of atoms at a time straight into the law's columns:
+    # on 1e5 atoms it peaks 0.22 MB over the 6.10 MB law it returns, where one
+    # decompose_batch over every atom and a gather peaked at 10.87 MB.
+    n = 100_000
+    rng = np.random.default_rng(5)
+    w = rng.uniform(0.5, 1.5, n)
+    model = FiltrationModel.from_columns([f"a{i}" for i in range(n)], w / math.fsum(w.tolist()),
+                                         rng.normal(0.0, 1e3, n), rng.normal(0.0, 1e3, n))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        law = lift(model)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    held = sum(c.nbytes for c in (law.owner, law.prob, law.x, law.y))
+    assert peak <= held + 1.5 * 2**20, (peak / 2**20, held / 2**20)
 
 
 def _oracle_align_law(model, law):
