@@ -4,11 +4,12 @@
 :func:`decompose_batch` call written straight into preallocated (atom, slot)
 arrays of probability, x and y, and stores the result as a small discrete law
 on the staircase curve: two branches (lam at e1, 1-lam at e2), collapsed to a
-single branch when lam is exactly 0 or 1.  When no atom collapses, the law's
-columns are views of those arrays, so ``lift`` holds no more than the law and
-one slice's temporaries.  Pooled over atoms, the branch points all lie on one
-monotone curve, so the lifted pair is comonotone while conditionally
-averaging back to the original payoffs.
+single branch when lam is exactly 0 or 1.  Each slice's kept slots are moved
+down in place to follow the slots kept before it, and the law's columns are
+the leading part of those arrays, so ``lift`` holds no more than the law and
+one slice's temporaries whether or not atoms collapse.  Pooled over atoms,
+the branch points all lie on one monotone curve, so the lifted pair is
+comonotone while conditionally averaging back to the original payoffs.
 
 ``LiftedLaw`` is columnar: flat per-branch arrays (owning atom, probability,
 x, y) with each atom's branches contiguous, plus the atom ids in law order as
@@ -112,13 +113,12 @@ class LiftedLaw:
                    x: np.ndarray, y: np.ndarray) -> LiftedLaw:
         """A law from (n, 2) arrays: atom i's branches are its first and
         second slot, (prob[i, j], (x[i, j], y[i, j])), where keep[i, j] holds.
-        When every slot is kept, the law's columns are the arrays, raveled.
 
         Unchecked: every row of ``keep`` must hold at least one true slot.
         """
-        if keep.all():  # nothing to drop, so nothing to gather
-            return cls.from_columns(atom_ids, np.arange(keep.size) // keep.shape[1], prob.ravel(), x.ravel(), y.ravel())
-        return cls.from_columns(atom_ids, np.flatnonzero(keep) // keep.shape[1], prob[keep], x[keep], y[keep])
+        owner = np.flatnonzero(keep)
+        owner //= keep.shape[1]  # in place: no second index-sized temporary
+        return cls.from_columns(atom_ids, owner, prob[keep], x[keep], y[keep])
 
     @classmethod
     def from_columns(cls, atom_ids: Sequence[str], owner: np.ndarray, prob: np.ndarray,
@@ -254,9 +254,14 @@ def lift(model: FiltrationModel) -> LiftedLaw:
     Exact-boundary weights collapse: lam == 0.0 keeps only e2, lam == 1.0
     keeps only e1, so no branch ever carries probability zero.
     """
-    # Atom i's two slots are row i: (lam, e1) and (1 - lam, e2).
+    # Atom i's two slots are row i: (lam, e1) and (1 - lam, e2).  The m slots kept
+    # so far fill the first m places of the raveled rows, and m never passes the
+    # current slice's first slot, so its kept slots move down without touching a
+    # row still to be written.
     n = model.id_column.size
-    prob, x, y = np.empty((n, 2)), np.empty((n, 2)), np.empty((n, 2))
+    owner, prob, x, y = np.empty(2 * n, np.int64), np.empty((n, 2)), np.empty((n, 2)), np.empty((n, 2))
+    columns = prob.reshape(-1), x.reshape(-1), y.reshape(-1)
+    m = 0
     for lo in range(0, n, _LIFT_SLICE):
         rows = slice(lo, lo + _LIFT_SLICE)
         f, g = model.f[rows], model.g[rows]
@@ -266,8 +271,16 @@ def lift(model: FiltrationModel) -> LiftedLaw:
             bad = lo + int(np.argmax(gauge_batch(f, g) > GAUGE_CAP))
             raise InvalidInputError(f"atom {model.id_column[bad]!r}: {exc}") from exc
         prob[rows, 0], prob[rows, 1] = lam, 1.0 - lam
-    # The slot whose weight is exactly 0 is dropped: lam is finite, and 1 - lam is 0 exactly when lam is 1.
-    return LiftedLaw.from_pairs(model.id_column, prob != 0.0, prob, x, y)
+        # The slot whose weight is exactly 0 is dropped: lam is finite, and 1 - lam is 0 exactly when lam is 1.
+        slots = np.flatnonzero(prob[rows].reshape(-1) != 0.0)
+        slots += 2 * lo
+        end = m + slots.size
+        for column in columns:
+            column[m:end] = column[slots]  # the gather copies before it writes
+        slots >>= 1
+        owner[m:end] = slots
+        m = end
+    return LiftedLaw.from_columns(model.id_column, owner[:m], *(column[:m] for column in columns))
 
 
 def sample_table(model: FiltrationModel, law: LiftedLaw) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -271,15 +271,20 @@ def test_sliced_lift_agrees_with_the_whole_column_oracle(monkeypatch, payoffs, s
     assert _lift_outcome(lift, model) == _lift_outcome(_whole_column_lift, model)
 
 
-def test_lift_peak_memory_is_the_law_plus_one_slice():
-    # lift decomposes a slice of atoms at a time straight into the law's columns:
-    # on 1e5 atoms it peaks 0.22 MB over the 6.10 MB law it returns, where one
-    # decompose_batch over every atom and a gather peaked at 10.87 MB.
+@pytest.mark.parametrize("collapsed", [0, 1, 100_000], ids=["no-atom-collapsed", "one-collapsed", "all-collapsed"])
+def test_lift_peak_memory_is_the_law_plus_one_slice(collapsed):
+    # lift decomposes a slice of atoms at a time into arrays of two slots per atom
+    # and moves each slice's kept slots down in place, so on 1e5 atoms it peaks
+    # 0.44 MB over its 6.10 MB of owner, prob, x and y slots, collapsed atoms or
+    # not.  One decompose_batch over every atom and a gather peaked at 10.87 MB,
+    # and a gather only when some atom collapses at 10.90 MB with one collapsed.
     n = 100_000
     rng = np.random.default_rng(5)
     w = rng.uniform(0.5, 1.5, n)
-    model = FiltrationModel.from_columns([f"a{i}" for i in range(n)], w / math.fsum(w.tolist()),
-                                         rng.normal(0.0, 1e3, n), rng.normal(0.0, 1e3, n))
+    f, g = rng.normal(0.0, 1e3, n), rng.normal(0.0, 1e3, n)
+    e1x, e1y = decompose_batch(f, g)[2:4]
+    f[:collapsed], g[:collapsed] = e1x[:collapsed], e1y[:collapsed]  # lam is exactly 1 at e1
+    model = FiltrationModel.from_columns([f"a{i}" for i in range(n)], w / math.fsum(w.tolist()), f, g)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -287,8 +292,9 @@ def test_lift_peak_memory_is_the_law_plus_one_slice():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    held = sum(c.nbytes for c in (law.owner, law.prob, law.x, law.y))
-    assert peak <= held + 1.5 * 2**20, (peak / 2**20, held / 2**20)
+    assert law.prob.size == 2 * n - collapsed
+    slots = 2 * n * 4 * 8  # owner, prob, x and y, 8 bytes each, two slots per atom
+    assert peak <= slots + 1.5 * 2**20, (peak / 2**20, slots / 2**20)
 
 
 def _oracle_align_law(model, law):
