@@ -18,7 +18,6 @@ from .geometry import (
     curve_distance,
     curve_segments,
     gauge,
-    gauge_oracle,
     on_curve,
     scale_index,
 )
@@ -31,7 +30,6 @@ from .filtration import (
     atomless_split,
     b_t_event,
     cond_exp_indicator,
-    sample_u,
     u_le_h_event,
 )
 from .lifting import LiftedLaw, SamplePair, Samples, lift, lifted_norm_bound, sample_lift
@@ -56,7 +54,6 @@ __all__ = [
     "Point2",
     "Segment",
     "gauge",
-    "gauge_oracle",
     "scale_index",
     "curve_segments",
     "curve_distance",
@@ -72,7 +69,6 @@ __all__ = [
     "b_t_event",
     "u_le_h_event",
     "atomless_split",
-    "sample_u",
     "LiftedLaw",
     "SamplePair",
     "Samples",

@@ -22,8 +22,8 @@ Two families of events matter downstream:
 
 ``atomless_split`` halves every interval of an event, producing a sub-event
 whose conditional probability is strictly between zero and the original on
-every atom that had positive probability.  ``sample_u`` draws (atom, u)
-pairs from the product measure through the counter-based word stream, so
+every atom that had positive probability.  :func:`draw_atoms` draws (atom,
+u) pairs from the product measure through the counter-based word stream, so
 sample i is a pure function of (seed, i).
 """
 
@@ -49,7 +49,8 @@ __all__ = [
     "b_t_event",
     "u_le_h_event",
     "atomless_split",
-    "sample_u",
+    "weight_cum",
+    "draw_atoms",
     "sample_u_arrays",
     "frozen_array",
     "fsum_column",
@@ -348,27 +349,26 @@ def atomless_split(model: FiltrationModel, event: EventF2) -> EventF2:
     return EventF2(out)
 
 
-def sample_u_arrays(
-    model: FiltrationModel, count: int, seed: int, start: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Atom indices and uniform draws for samples [start, start+count).
+def weight_cum(model: FiltrationModel) -> np.ndarray:
+    """The running sum of the weights, its top pinned to 1 so that any selector below 1 lands on an atom."""
+    cum = np.cumsum(model.weights())
+    cum[-1] = 1.0
+    return cum
 
-    Sample i consumes stream words 2i (atom selector) and 2i+1 (the uniform
-    coordinate u), so any sample is reproducible from (seed, i) alone.
-    """
+
+def draw_atoms(cum: np.ndarray, count: int, seed: int, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Atom indices and uniform draws for samples [start, start+count) of a
+    model whose :func:`weight_cum` is ``cum``.  Sample i takes stream words 2i
+    (sel) and 2i+1 (u), so it is a pure function of (seed, i), and its atom is
+    ``searchsorted(cum, sel, "right")``."""
     if not isinstance(count, int) or count < 0:
         raise InvalidInputError(f"count must be a nonnegative int, got {count!r}")
     if not isinstance(start, int) or start < 0:
         raise InvalidInputError(f"start must be a nonnegative int, got {start!r}")
     sel, u = uniforms(seed, 2 * start, 2 * count).reshape(count, 2).T
-    cum = np.cumsum(model.weights())
-    cum[-1] = 1.0  # pin the top so sel < 1 always lands on a real atom
-    idx = np.searchsorted(cum, sel, side="right")
-    return idx, u.copy()  # compact, so the selector half is freed with this frame
+    return np.searchsorted(cum, sel, side="right"), u.copy()  # compact, so the selector half is freed
 
 
-def sample_u(model: FiltrationModel, count: int, seed: int) -> list[tuple[str, float]]:
-    """Draw ``count`` (atom_id, u) pairs from the product measure."""
-    idx, u = sample_u_arrays(model, count, seed)
-    ids = model.ids()
-    return [(ids[i], float(v)) for i, v in zip(idx.tolist(), u.tolist())]
+def sample_u_arrays(model: FiltrationModel, count: int, seed: int, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`draw_atoms` for samples [start, start+count) of ``model``."""
+    return draw_atoms(weight_cum(model), count, seed, start)

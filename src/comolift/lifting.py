@@ -23,9 +23,10 @@ a shuffled law by sorting both id columns, with no dict.
 ``sample_lift`` realizes the law through the model's (atom, u) stream: the
 sample emits the first branch when u <= (first branch probability), so for a
 two-branch atom the first branch fires with probability lam exactly on the
-dyadic grid of u.  :func:`sample_branch` is that choice, the one sampler
-kernel.  The (atom, u) pairs for a given seed are identical to
-``sample_u``'s, which makes sampled output reproducible end to end, and
+dyadic grid of u.  :func:`sample_table`, built once per run, is the whole
+map from stream words to (atom, branch, point), and :func:`sample_branch` is
+the one sampler kernel.  The (atom, u) pairs for a given seed are those of
+``sample_u_arrays``, which makes sampled output reproducible end to end, and
 :func:`sample_chunks` draws the same run in consecutive chunks.
 
 ``LiftedLaw`` is deliberately light on validation: it checks shape, not
@@ -46,7 +47,7 @@ import numpy as np
 
 from .decomposition import decompose_batch
 from .errors import InvalidInputError
-from .filtration import FiltrationModel, frozen_array, id_column, sample_u_arrays
+from .filtration import FiltrationModel, draw_atoms, frozen_array, id_column, weight_cum
 from .geometry import GAUGE_CAP, Point2, gauge_batch
 
 __all__ = [
@@ -283,12 +284,12 @@ def lift(model: FiltrationModel) -> LiftedLaw:
     return LiftedLaw.from_columns(model.id_column, owner[:m], *(column[:m] for column in columns))
 
 
-def sample_table(model: FiltrationModel, law: LiftedLaw) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per model atom, in model order: (threshold, first, last).
+def sample_table(model: FiltrationModel, law: LiftedLaw) -> tuple[np.ndarray, ...]:
+    """The sampler's map, built once per run: (threshold, first, last, cum, x, y).
 
-    ``first`` and ``last`` index the atom's first and last branch in the
-    columns of ``align_law(model, law)``, and a draw takes the first branch
-    when u <= threshold.  A single-branch atom has first == last and threshold 1.
+    :func:`draw_atoms` finds each draw's atom in ``cum``, the model's :func:`weight_cum`.
+    The draw emits that atom's branch ``first`` when u <= threshold, else ``last``, in the
+    columns ``x`` and ``y`` of ``align_law(model, law)``; a single-branch atom has first == last and threshold 1.
     """
     law = align_law(model, law)
     first, last = law.ends()
@@ -296,29 +297,27 @@ def sample_table(model: FiltrationModel, law: LiftedLaw) -> tuple[np.ndarray, np
     if np.any(wide):
         atom_id = model.id_column[int(np.argmax(wide))]
         raise InvalidInputError(f"atom {atom_id!r}: sampling needs 1 or 2 branches")
-    return np.where(first == last, 1.0, law.prob[first]), first, last
+    return np.where(first == last, 1.0, law.prob[first]), first, last, weight_cum(model), law.x, law.y
 
 
-def sample_branch(table: tuple[np.ndarray, np.ndarray, np.ndarray], idx: np.ndarray,
-                  u: np.ndarray) -> np.ndarray:
+def sample_branch(table: tuple[np.ndarray, ...], idx: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The sampler kernel: the law branch each draw (atom idx[k], u[k]) emits,
     given the model's :func:`sample_table`."""
-    threshold, first, last = table
+    threshold, first, last = table[:3]
     return np.where(u <= threshold[idx], first[idx], last[idx])
 
 
-def _draw(model: FiltrationModel, law: LiftedLaw, table, count: int, seed: int, start: int) -> Samples:
-    idx, u = sample_u_arrays(model, count, seed, start)
-    return Samples(model.id_column, idx, u, sample_branch(table, idx, u), law.x, law.y, start)
+def _draw(model: FiltrationModel, table, count: int, seed: int, start: int) -> Samples:
+    idx, u = draw_atoms(table[3], count, seed, start)
+    return Samples(model.id_column, idx, u, sample_branch(table, idx, u), *table[4:], start)
 
 
 def sample_lift_arrays(
     model: FiltrationModel, law: LiftedLaw, count: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized sampler: (atom_index, u, xi, eta, took_first_branch)."""
-    law = align_law(model, law)
     table = sample_table(model, law)
-    s = _draw(model, law, table, count, seed, 0)
+    s = _draw(model, table, count, seed, 0)
     return s.idx, s.u, s.xi, s.eta, s.branch == table[1][s.idx]
 
 
@@ -326,15 +325,14 @@ def sample_lift(model: FiltrationModel, law: LiftedLaw, count: int, seed: int) -
     """Draw ``count`` comonotone sample pairs from the lifted law.
 
     Every emitted (xi, eta) is bit-identical to one of its atom's branch
-    points; the (atom, u) stream matches ``sample_u`` for the same seed.
+    points; the (atom, u) stream matches ``sample_u_arrays`` for the same seed.
     """
-    law = align_law(model, law)
-    return _draw(model, law, sample_table(model, law), count, seed, 0)
+    return _draw(model, sample_table(model, law), count, seed, 0)
 
 
 def sample_chunks(model: FiltrationModel, law: LiftedLaw, count: int, seed: int) -> Iterator[Samples]:
     """The draws of ``sample_lift(model, law, count, seed)`` as consecutive
-    :class:`Samples` of at most ``_DRAW_CHUNK`` draws.
+    :class:`Samples` of at most ``_DRAW_CHUNK`` draws, all through one table.
 
     The table and the first chunk are made on the call, so a law that does not
     match the model, or a count or seed that ``sample_lift`` refuses, raises
@@ -342,10 +340,9 @@ def sample_chunks(model: FiltrationModel, law: LiftedLaw, count: int, seed: int)
     """
     if not isinstance(count, int) or count < 0:
         raise InvalidInputError(f"count must be a nonnegative int, got {count!r}")
-    law = align_law(model, law)
     table = sample_table(model, law)
-    head = _draw(model, law, table, min(_DRAW_CHUNK, count), seed, 0)
-    return chain((head,), (_draw(model, law, table, min(_DRAW_CHUNK, count - start), seed, start)
+    head = _draw(model, table, min(_DRAW_CHUNK, count), seed, 0)
+    return chain((head,), (_draw(model, table, min(_DRAW_CHUNK, count - start), seed, start)
                            for start in range(_DRAW_CHUNK, count, _DRAW_CHUNK)))
 
 

@@ -48,7 +48,7 @@ from .decomposition import decompose_batch
 from .errors import InvalidInputError
 from .filtration import FiltrationModel, fsum_column
 from .geometry import MAX_STAGE, Point2, curve_distance_batch, gauge_batch
-from .lifting import LiftedLaw, align_law, norm_bound_columns, sample_lift_arrays, sample_table
+from .lifting import LiftedLaw, _draw, align_law, norm_bound_columns, sample_table
 
 __all__ = [
     "CheckRow",
@@ -303,10 +303,12 @@ def _worst_z(z: np.ndarray) -> float:
 
 def _mc_checks(model: FiltrationModel, law: LiftedLaw, mc_samples: int, seed: int) -> list[CheckRow]:
     natoms = len(model)
-    idx, _u, xi, eta, first = sample_lift_arrays(model, law, mc_samples, seed)
+    table = sample_table(model, law)
+    s = _draw(model, table, mc_samples, seed, 0)
     # Per model atom: first-branch probability pa (1 for a single branch),
     # and both branch points (the same point twice for a single branch).
-    pa, b1, b2 = sample_table(model, law)
+    pa, b1, b2 = table[:3]
+    idx, xi, eta, first = s.idx, s.xi, s.eta, s.branch == b1[s.idx]
     p1x, p1y, p2x, p2y = law.x[b1], law.y[b1], law.x[b2], law.y[b2]
 
     hit = ((xi == p1x[idx]) & (eta == p1y[idx])) | ((xi == p2x[idx]) & (eta == p2y[idx]))

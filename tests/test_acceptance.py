@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import record_acceptance
+from hull_oracle import gauge_oracle
 
 from comolift.cli import main
 from comolift.decomposition import decompose_batch
@@ -27,7 +28,7 @@ from comolift.filtration import (
     u_le_h_event,
     EventF2,
 )
-from comolift.geometry import Point2, gauge, gauge_batch, gauge_oracle, on_curve
+from comolift.geometry import Point2, gauge, gauge_batch, on_curve
 from comolift.io import write_atoms_csv, write_law_csv
 from comolift.lifting import lift, sample_lift_arrays
 from comolift.verification import (

@@ -21,7 +21,6 @@ from comolift.filtration import (
     b_t_event,
     cond_exp_indicator,
     fsum_column,
-    sample_u,
     sample_u_arrays,
     u_le_h_event,
 )
@@ -272,17 +271,18 @@ def test_rng_validates():
         raw_words(1.5, 0, 4)  # type: ignore[arg-type]
 
 
+def _u_pairs(*args, **kwargs):
+    return list(zip(*(column.tolist() for column in sample_u_arrays(*args, **kwargs))))
+
+
 def test_sample_u_deterministic_and_splittable():
     m = two_atom_model()
-    full = sample_u(m, 20, seed=42)
-    assert full == sample_u(m, 20, seed=42)
+    full = _u_pairs(m, 20, seed=42)
+    assert full == _u_pairs(m, 20, seed=42)
     # Sample i is a pure function of (seed, i): computing the tail directly
     # from its start offset reproduces the full run's tail.
-    idx_tail, u_tail = sample_u_arrays(m, 12, seed=42, start=8)
-    ids = m.ids()
-    tail = [(ids[i], float(v)) for i, v in zip(idx_tail.tolist(), u_tail.tolist())]
-    assert tail == full[8:]
-    assert sample_u(m, 20, seed=43) != full
+    assert _u_pairs(m, 12, seed=42, start=8) == full[8:]
+    assert _u_pairs(m, 20, seed=43) != full
 
 
 def test_sample_u_marginals():
@@ -304,8 +304,10 @@ def test_sample_u_marginals():
 def test_sample_u_validates():
     m = two_atom_model()
     with pytest.raises(InvalidInputError):
-        sample_u(m, -1, seed=1)
-    assert sample_u(m, 0, seed=1) == []
+        sample_u_arrays(m, -1, seed=1)
+    with pytest.raises(InvalidInputError):
+        sample_u_arrays(m, 1, seed=1, start=-1)
+    assert _u_pairs(m, 0, seed=1) == []
 
 
 def _sum_outcome(total, values):

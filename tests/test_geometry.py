@@ -16,6 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hull_oracle import gauge_oracle
+
 from comolift.errors import InvalidInputError
 from comolift.geometry import (
     GAUGE_CAP,
@@ -26,7 +28,6 @@ from comolift.geometry import (
     curve_segments,
     gauge,
     gauge_batch,
-    gauge_oracle,
     on_curve,
     scale_index,
     scale_index_batch,

@@ -12,10 +12,10 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from comolift import lifting
+from comolift import filtration, lifting
 from comolift.decomposition import decompose_batch
 from comolift.errors import InvalidInputError
-from comolift.filtration import Atom, FiltrationModel, sample_u
+from comolift.filtration import Atom, FiltrationModel, sample_u_arrays
 from comolift.geometry import GAUGE_CAP, Point2, gauge, gauge_batch, on_curve
 from comolift.lifting import (
     LiftedLaw,
@@ -27,7 +27,8 @@ from comolift.lifting import (
     sample_lift,
     sample_lift_arrays,
 )
-from comolift.verification import check_comonotone_pairwise, check_comonotone_witness
+from comolift.rng import uniforms
+from comolift.verification import check_comonotone_pairwise, check_comonotone_witness, verify_model
 
 finite_coord = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
@@ -93,13 +94,87 @@ def test_lift_no_zero_probability_branches():
             assert 0.0 < prob <= 1.0
 
 
-def test_sample_lift_stream_matches_sample_u():
+def test_sample_lift_stream_matches_sample_u_arrays():
     m = demo_model()
     law = lift(m)
     n = 500
     pairs = sample_lift(m, law, n, seed=99)
-    stream = sample_u(m, n, seed=99)
-    assert [(p.atom_id, p.u) for p in pairs] == stream
+    idx, u = sample_u_arrays(m, n, seed=99)
+    assert [(p.atom_id, p.u) for p in pairs] == [(m.ids()[i], v) for i, v in zip(idx.tolist(), u.tolist())]
+
+
+#: The largest value on the grid k * 2^-53 of rng.uniforms.
+_TOP_GRID = 1.0 - 2.0 ** -53
+_grid = st.integers(0, 2**53 - 1).map(lambda k: k * 2.0 ** -53)
+
+
+@st.composite
+def _map_case(draw):
+    """A lifted model whose running weight sum repeats where a tiny weight
+    vanishes in its rounding, and a run: its stream words are a seed's, or
+    planted, with selectors on the sum's values below 1 and u on the branch
+    probabilities, and both at 0 and at the top of the grid."""
+    raw = draw(st.lists(st.floats(1e-3, 1.0) | st.sampled_from([1e-30, 2.0 ** -80]), min_size=1, max_size=8))
+    w = np.array(raw) / math.fsum(raw)
+    coords = draw(st.lists(st.tuples(finite_coord, finite_coord), min_size=w.size, max_size=w.size))
+    model = FiltrationModel.from_columns([f"a{i}" for i in range(w.size)], w, *zip(*coords))
+    law = lift(model)
+    count, seed, words = draw(st.integers(0, 40)), draw(st.integers(0, 2**64)), None
+    if draw(st.booleans()):
+        sel = st.sampled_from([0.0, _TOP_GRID, *(c for c in np.cumsum(w).tolist() if c < 1.0)]) | _grid
+        u = st.sampled_from([0.0, _TOP_GRID, *law.prob.tolist()]) | _grid
+        words = np.array(draw(st.lists(st.tuples(sel, u), min_size=count, max_size=count)), dtype=np.float64)
+    return model, law, count, seed, words
+
+
+@given(case=_map_case())
+@settings(max_examples=300, deadline=None)
+def test_draw_path_agrees_with_the_searchsorted_oracle(case):
+    # The reference reads the weights and the words on its own, not through sample_table.
+    model, law, count, seed, words = case
+    with pytest.MonkeyPatch.context() as patch:
+        if words is None:
+            words = uniforms(seed, 0, 2 * count)
+        else:
+            words = words.reshape(-1)
+            patch.setattr(filtration, "uniforms", lambda _, start, n: words[start:start + n])
+        sel, u = words[0::2], words[1::2]
+        cum = np.cumsum(model.weights())
+        cum[-1] = 1.0
+        idx = np.searchsorted(cum, sel, "right")
+        assert np.all(idx < len(model))
+        first, last = np.searchsorted(law.owner, idx), np.searchsorted(law.owner, idx, "right") - 1
+        branch = np.where((first == last) | (u <= law.prob[first]), first, last)
+        a_idx, a_u, xi, eta, took_first = sample_lift_arrays(model, law, count, seed)
+        assert (a_idx.tobytes(), a_u.tobytes()) == (idx.tobytes(), u.tobytes())
+        assert (xi.tobytes(), eta.tobytes()) == (law.x[branch].tobytes(), law.y[branch].tobytes())
+        assert took_first.tolist() == (branch == first).tolist()
+        for chunk in [*range(1, 8), lifting._DRAW_CHUNK]:
+            patch.setattr(lifting, "_DRAW_CHUNK", chunk)
+            run = list(sample_chunks(model, law, count, seed))
+            assert [c.start for c in run] == list(range(0, max(count, 1), chunk))
+            for column, want in (("idx", idx), ("u", u), ("branch", branch)):
+                assert np.concatenate([getattr(c, column) for c in run]).tobytes() == want.tobytes()
+
+
+def test_one_weight_cum_per_run(monkeypatch):
+    # The running weight sum is part of the run's table, not of each chunk's draws.
+    m = random_model([(float(i), 0.5 * i - 1.0) for i in range(6)])
+    law = lift(m)
+    real, built = np.cumsum, []
+
+    def counting(a, *args, **kwargs):
+        if a is m.weights():
+            built.append(1)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "cumsum", counting)
+    monkeypatch.setattr(lifting, "_DRAW_CHUNK", 7)
+    assert len(list(sample_chunks(m, law, 50, seed=3))) == 8
+    assert len(built) == 1
+    built.clear()
+    assert verify_model(m, law, mc_samples=50).mc_checks
+    assert len(built) == 1
 
 
 def test_sample_lift_emits_exact_branch_points():
