@@ -21,10 +21,9 @@ from .geometry import (
     on_curve,
     scale_index,
 )
-from .decomposition import Decomposition, decompose, endpoint_norm_bound
+from .decomposition import Decomposition, decompose
 from .filtration import (
     Atom,
-    CondExpectation,
     EventF2,
     FiltrationModel,
     atomless_split,
@@ -32,7 +31,7 @@ from .filtration import (
     cond_exp_indicator,
     u_le_h_event,
 )
-from .lifting import LiftedLaw, SamplePair, Samples, lift, lifted_norm_bound, sample_lift
+from .lifting import LiftedLaw, Samples, lift, lifted_norm_bound, sample_lift
 from .verification import (
     CheckRow,
     VerificationReport,
@@ -60,17 +59,14 @@ __all__ = [
     "on_curve",
     "Decomposition",
     "decompose",
-    "endpoint_norm_bound",
     "Atom",
     "FiltrationModel",
     "EventF2",
-    "CondExpectation",
     "cond_exp_indicator",
     "b_t_event",
     "u_le_h_event",
     "atomless_split",
     "LiftedLaw",
-    "SamplePair",
     "Samples",
     "lift",
     "sample_lift",

@@ -27,13 +27,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .geometry import GAUGE_CAP, MAX_STAGE, Point2, gauge, scale_index_batch, skew_gauge
+from .geometry import GAUGE_CAP, MAX_STAGE, Point2, scale_index_batch, skew_gauge
 
 __all__ = [
     "Decomposition",
     "decompose",
     "decompose_batch",
-    "endpoint_norm_bound",
 ]
 
 
@@ -90,16 +89,3 @@ def decompose_batch(
     shift = 3.0 * half
     lam = (big - x) / (8.0 * half)
     return n, lam, -big, s - shift, big, s + shift
-
-
-def endpoint_norm_bound(p: Point2) -> tuple[float, float, float]:
-    """Gauges of both decomposition endpoints and the bound they satisfy.
-
-    Returns (gauge(e1), gauge(e2), max(2*gauge(p), 1)).  Both endpoint gauges
-    equal 2^(stage-1), which never exceeds the bound: for gauge(p) <= 1 the
-    stage is 1 and the endpoints have gauge exactly 1, and for gauge(p) > 1
-    the stage guarantee 2^(stage-2) < gauge(p) gives 2^(stage-1) < 2*gauge(p).
-    """
-    d = decompose(p)
-    bound = max(2.0 * gauge(p), 1.0)
-    return gauge(d.e1), gauge(d.e2), bound

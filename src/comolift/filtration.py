@@ -44,7 +44,6 @@ __all__ = [
     "Atom",
     "FiltrationModel",
     "EventF2",
-    "CondExpectation",
     "cond_exp_indicator",
     "b_t_event",
     "u_le_h_event",
@@ -129,8 +128,8 @@ def id_column(ids) -> np.ndarray:
 class FiltrationModel:
     """Read-only columns in atom order: ``id_column``, :meth:`weights` summing
     to one, and payoffs ``f``, ``g``.  The columns are the model; :meth:`ids`,
-    ``atoms``, :meth:`atom` and iteration build tuples and :class:`Atom` views
-    from them per call."""
+    ``atoms`` and iteration build tuples and :class:`Atom` views from them per
+    call."""
 
     __slots__ = ("id_column", "_weights", "f", "g")
 
@@ -195,13 +194,6 @@ class FiltrationModel:
     def ids(self) -> tuple[str, ...]:
         return tuple(self.id_column.tolist())
 
-    def atom(self, atom_id: str) -> Atom:
-        try:
-            (i,) = np.flatnonzero(self.id_column == atom_id)
-        except (TypeError, ValueError):  # an id the column cannot hold, or none equal
-            raise InvalidInputError(f"unknown atom id {atom_id!r}") from None
-        return Atom(atom_id, self._weights[i], Point2(self.f[i], self.g[i]))
-
     def weights(self) -> np.ndarray:
         return self._weights
 
@@ -259,32 +251,20 @@ class EventF2:
         return math.fsum(hi - lo for lo, hi in self.intervals.get(atom_id, ()))
 
 
-@dataclass(frozen=True, slots=True)
-class CondExpectation:
-    """Per-atom conditional expectation values, keyed by atom id."""
-
-    by_atom: Mapping[str, float]
-
-    def __getitem__(self, atom_id: str) -> float:
-        return self.by_atom[atom_id]
-
-    def items(self):
-        return self.by_atom.items()
-
-
 def _require_known_ids(model: FiltrationModel, event: EventF2) -> None:
     unknown = set(event.intervals) - set(model.ids())
     if unknown:
         raise InvalidEventError(f"event references unknown atom ids {sorted(unknown)!r}")
 
 
-def cond_exp_indicator(model: FiltrationModel, event: EventF2) -> CondExpectation:
-    """Conditional expectation of the event's indicator given the atom.
+def cond_exp_indicator(model: FiltrationModel, event: EventF2) -> dict[str, float]:
+    """Conditional expectation of the event's indicator given the atom, as
+    atom id -> value in model order.
 
     Exact per-atom interval-length sums; every value lies in [0, 1].
     """
     _require_known_ids(model, event)
-    return CondExpectation({atom_id: event.measure(atom_id) for atom_id in model.ids()})
+    return {atom_id: event.measure(atom_id) for atom_id in model.ids()}
 
 
 def b_t_event(model: FiltrationModel, t: float) -> EventF2:

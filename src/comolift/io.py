@@ -391,6 +391,8 @@ def write_law_csv(law: LiftedLaw, path: str | Path) -> None:
     it.  The law is checked, then written, one write slice of atoms at a time.
     """
     ids = law.id_column
+    if not ids.size:
+        raise InputFormatError("law has no atoms: a law file needs at least one data row")
     _require_good_ids(ids)
     slices = [(lo, min(lo + _WRITE_ROWS, ids.size)) for lo in range(0, ids.size, _WRITE_ROWS)]
     broken: dict[int, int] = {}  # rule -> first atom that breaks it

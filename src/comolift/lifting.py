@@ -14,7 +14,7 @@ comonotone while conditionally averaging back to the original payoffs.
 ``LiftedLaw`` is columnar: flat per-branch arrays (owning atom, probability,
 x, y) with each atom's branches contiguous, plus the atom ids in law order as
 one read-only string column, shared with the model for a law from ``lift``.
-The ``(prob, Point2)`` mapping ``branches``, ``mean``, ``support_points``
+The ``(prob, Point2)`` mapping ``branches``, ``means``, ``support_points``
 and :func:`lifted_norm_bound` are views of those columns, and the mapping is
 only built when asked for.  :func:`align_law` returns a law in a model's atom
 order; it owns the check that the law holds each model atom once, and ranks
@@ -53,7 +53,6 @@ from .geometry import GAUGE_CAP, Point2, gauge_batch
 __all__ = [
     "Branches",
     "LiftedLaw",
-    "SamplePair",
     "Samples",
     "NormBoundRow",
     "align_law",
@@ -85,8 +84,7 @@ class LiftedLaw:
     branches are contiguous, so ``owner`` is nondecreasing.
 
     ``LiftedLaw(branches)`` builds the columns from a mapping atom id ->
-    ((prob, point), ...); :meth:`from_pairs` from per-atom pairs of slots,
-    and :meth:`from_columns` takes them as they are.
+    ((prob, point), ...), and :meth:`from_columns` takes them as they are.
     """
 
     def __init__(self, branches: Mapping[str, Branches]) -> None:
@@ -110,18 +108,6 @@ class LiftedLaw:
         self._init(id_column(tuple(branches)), table[0].astype(np.int64), table[1], table[2], table[3])
 
     @classmethod
-    def from_pairs(cls, atom_ids: Sequence[str], keep: np.ndarray, prob: np.ndarray,
-                   x: np.ndarray, y: np.ndarray) -> LiftedLaw:
-        """A law from (n, 2) arrays: atom i's branches are its first and
-        second slot, (prob[i, j], (x[i, j], y[i, j])), where keep[i, j] holds.
-
-        Unchecked: every row of ``keep`` must hold at least one true slot.
-        """
-        owner = np.flatnonzero(keep)
-        owner //= keep.shape[1]  # in place: no second index-sized temporary
-        return cls.from_columns(atom_ids, owner, prob[keep], x[keep], y[keep])
-
-    @classmethod
     def from_columns(cls, atom_ids: Sequence[str], owner: np.ndarray, prob: np.ndarray,
                      x: np.ndarray, y: np.ndarray) -> LiftedLaw:
         """A law from its flat branch columns, as the class docstring lays them out.
@@ -138,9 +124,6 @@ class LiftedLaw:
         self.prob = frozen_array(prob)
         self.x = frozen_array(x)
         self.y = frozen_array(y)
-
-    def atom_ids(self) -> tuple[str, ...]:
-        return tuple(self.id_column.tolist())
 
     def ends(self, lo: int = 0, hi: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Column index of the first and last branch of each atom at positions
@@ -169,35 +152,16 @@ class LiftedLaw:
             my = np.bincount(self.owner, weights=self.prob * self.y, minlength=size)
         return frozen_array(mx), frozen_array(my)
 
-    def mean(self, atom_id: str) -> tuple[float, float]:
-        """Probability-weighted mean point of one atom's law; ``KeyError`` for an id the law lacks."""
-        try:
-            (i,) = np.flatnonzero(self.id_column == atom_id)
-        except (TypeError, ValueError):  # an id the column cannot hold, or none equal
-            raise KeyError(atom_id) from None
-        return (float(self.means[0][i]), float(self.means[1][i]))
-
     def support_points(self) -> list[Point2]:
         """All branch points pooled across atoms (duplicates kept)."""
         return [Point2(x, y) for x, y in zip(self.x.tolist(), self.y.tolist())]
 
 
-class SamplePair(NamedTuple):
-    """One draw: the atom, its uniform coordinate, and the emitted point."""
-
-    atom_id: str
-    u: float
-    xi: float
-    eta: float
-
-
-class Samples(Sequence[SamplePair]):
+class Samples:
     """Draws ``start`` to ``start + len - 1`` of a run as read-only columns:
     draw k is atom ``ids[idx[k]]`` at ``u[k]``, emitting the law's branch
     ``branch[k]``, the point (``x[branch[k]]``, ``y[branch[k]]``).  ``xi`` and
-    ``eta`` gather those points per read; they are not stored.  An int index,
-    negative too, or iteration builds :class:`SamplePair` views; a slice raises
-    ``TypeError``, so slice the columns."""
+    ``eta`` gather those points per read; they are not stored."""
 
     def __init__(self, ids: np.ndarray, idx, u, branch, x, y, start: int = 0) -> None:
         self.ids, self.start = ids, start
@@ -214,10 +178,6 @@ class Samples(Sequence[SamplePair]):
 
     def __len__(self) -> int:
         return len(self.u)
-
-    def __getitem__(self, k: int) -> SamplePair:
-        b = self.branch[k]
-        return SamplePair(self.ids[self.idx[k]], float(self.u[k]), float(self.x[b]), float(self.y[b]))
 
 
 class NormBoundRow(NamedTuple):
@@ -348,7 +308,12 @@ def sample_chunks(model: FiltrationModel, law: LiftedLaw, count: int, seed: int)
 
 def norm_bound_columns(model: FiltrationModel, law: LiftedLaw) -> tuple[np.ndarray, np.ndarray]:
     """Per model atom, in model order: worst branch gauge and its ceiling
-    max(2 * gauge(payoff), 1)."""
+    max(2 * gauge(payoff), 1).
+
+    A :func:`lift` branch has gauge exactly 2^(stage-1), never above the
+    ceiling: the stage is 1 for gauge(payoff) <= 1, and above 1 the stage
+    guarantee 2^(stage-2) < gauge(payoff) gives 2^(stage-1) < 2 * gauge(payoff).
+    """
     law = align_law(model, law)
     worst = np.maximum.reduceat(gauge_batch(law.x, law.y), law.ends()[0])
     return worst, np.maximum(2.0 * gauge_batch(model.f, model.g), 1.0)

@@ -234,8 +234,7 @@ def test_c05_comonotone_support_and_checker_agreement(big_model):
 def test_c06_conditional_expectation_identity(big_model):
     law = lift(big_model)
     worst = 0.0
-    for atom in big_model.atoms:
-        mx, my = law.mean(atom.id)
+    for atom, mx, my in zip(big_model.atoms, *(c.tolist() for c in law.means)):
         scale = max(1.0, gauge(atom.payoff))
         worst = max(
             worst,

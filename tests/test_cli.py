@@ -23,7 +23,7 @@ from comolift.cli import RunConfig, main, parse_args, run
 from comolift.filtration import Atom, FiltrationModel
 from comolift.geometry import MAX_STAGE, Point2
 from comolift.io import ingest_atoms, write_atoms_csv, write_samples_csv
-from comolift.lifting import LiftedLaw, SamplePair, lift, sample_lift
+from comolift.lifting import lift, sample_lift
 
 
 def random_model(n, seed):
@@ -266,6 +266,20 @@ def test_io_failures_exit_3(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("command", ["lift", "sample", "verify", "curve"])
+def test_output_that_cannot_be_opened_exits_3(tmp_path, capsys, command):
+    atoms, law, out = tmp_path / "atoms.csv", tmp_path / "law.csv", tmp_path / "missing" / "out.csv"
+    write_atoms_csv(random_model(4, seed=1), atoms)
+    assert main(["lift", "--input", str(atoms), "--output", str(law)]) == 0
+    argv = {"lift": ["lift", "--input", str(atoms)],
+            "sample": ["sample", "--input", str(atoms), "--samples", "5"],
+            "verify": ["verify", "--input", str(atoms), "--law", str(law)],
+            "curve": ["curve"]}[command]
+    assert main([*argv, "--output", str(out)]) == 3
+    assert f"error: cannot write {out}: " in capsys.readouterr().err
+    assert not out.parent.exists()
+
+
 def test_model_law_mismatch_exits_3(tmp_path):
     m1 = random_model(4, seed=1)
     m2 = random_model(5, seed=2)
@@ -486,16 +500,6 @@ def test_no_cli_path_builds_atom_objects(tmp_path, capsys, monkeypatch):
     assert _cli_digests(tmp_path, capsys) == _CLI_DIGESTS
 
 
-def test_no_cli_path_builds_sample_pairs(tmp_path, capsys, monkeypatch):
-    # sample writes the sampler's columns: no SamplePair view and no per-draw
-    # list, and the bytes do not move.
-    def refuse(cls, *args, **kwargs):
-        raise AssertionError("a CLI path built a SamplePair")
-
-    monkeypatch.setattr(SamplePair, "__new__", refuse)
-    assert _cli_digests(tmp_path, capsys) == _CLI_DIGESTS
-
-
 @pytest.mark.parametrize("rows", [1, 7])
 def test_cli_bytes_do_not_depend_on_the_write_slice(tmp_path, capsys, monkeypatch, rows):
     # The pinned sample run writes 3000 rows, inside one default slice; at 1
@@ -587,7 +591,6 @@ def test_no_cli_path_builds_a_tuple_of_ids(tmp_path, capsys, monkeypatch):
         raise AssertionError("a CLI path built a tuple of ids")
 
     monkeypatch.setattr(FiltrationModel, "ids", refuse)
-    monkeypatch.setattr(LiftedLaw, "atom_ids", refuse)
     assert _cli_digests(tmp_path, capsys) == _CLI_DIGESTS
 
 

@@ -15,9 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from comolift.decomposition import Decomposition, decompose, decompose_batch, endpoint_norm_bound
+from comolift.decomposition import Decomposition, decompose, decompose_batch
 from comolift.errors import InvalidInputError
+from comolift.filtration import FiltrationModel
 from comolift.geometry import MAX_STAGE, Point2, curve_distance, gauge, on_curve, scale_index
+from comolift.lifting import lift, norm_bound_columns
 
 finite_coord = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
@@ -44,6 +46,14 @@ def test_frozen_decompositions(xy, stage, lam, e1, e2):
     assert (d.stage, d.lam) == (stage, lam)
     assert d.e1.as_tuple() == e1
     assert d.e2.as_tuple() == e2
+
+
+def endpoint_norm_bound(p: Point2) -> tuple[float, float, float]:
+    """The gauges of both decomposition endpoints, and the ceiling that
+    norm_bound_columns sets for a one-atom model with payoff p."""
+    d = decompose(p)
+    model = FiltrationModel.from_columns(["p"], [1.0], [p.x], [p.y])
+    return gauge(d.e1), gauge(d.e2), norm_bound_columns(model, lift(model))[1].item()
 
 
 @pytest.mark.parametrize(

@@ -48,6 +48,10 @@ def test_model_validation():
         Atom("a", -0.1, Point2(0, 0))
     with pytest.raises(InvalidInputError):
         Atom("", 0.5, Point2(0, 0))
+    with pytest.raises(InvalidInputError, match="payoff must be a Point2"):
+        Atom("a", 0.5, (0.0, 0.0))  # type: ignore[arg-type]
+    with pytest.raises(InvalidInputError, match="must be Atom instances"):
+        FiltrationModel([Atom("a", 0.5, Point2(0, 0)), ("b", 0.5, Point2(1, 1))])  # type: ignore[list-item]
 
 
 def test_from_columns_runs_the_model_checks():
@@ -115,7 +119,7 @@ def test_id_columns_refuse_ids_that_are_not_utf8_strings(bad, message):
     with pytest.raises(InvalidInputError, match=re.escape(message)):
         FiltrationModel.from_columns(ids, [0.25, 0.5, 0.25], [0, 1, 2], [0, 1, 2])
     with pytest.raises(InvalidInputError, match=re.escape(message)):
-        LiftedLaw.from_pairs(ids, np.ones((3, 1), bool), np.ones((3, 1)), np.zeros((3, 1)), np.zeros((3, 1)))
+        LiftedLaw.from_columns(ids, np.arange(3), np.ones(3), np.zeros(3), np.zeros(3))
     if isinstance(bad, str):
         with pytest.raises(InvalidInputError, match=re.escape(message)):
             FiltrationModel([Atom(bad, 1.0, Point2(0, 0))])
@@ -129,10 +133,7 @@ def test_from_columns_takes_an_empty_id_and_keeps_ids_as_str():
 def test_model_is_immutable_and_indexable():
     m = two_atom_model()
     assert m.ids() == ("a", "b")
-    assert m.atom("b").payoff.as_tuple() == (8.0, 8.0)
-    for missing in ("zz", 5, "a\ud800"):
-        with pytest.raises(InvalidInputError, match="unknown atom id"):
-            m.atom(missing)
+    assert (m.f[1], m.g[1]) == (8.0, 8.0)
     with pytest.raises(AttributeError):
         m.atoms = ()
     with pytest.raises(AttributeError):
@@ -155,12 +156,21 @@ def test_event_rejects_overlap_and_out_of_range():
         EventF2({"a": [(0.2, 1.2)]})
     with pytest.raises(InvalidEventError):
         EventF2({"a": [(0.5, 0.2)]})
+    with pytest.raises(InvalidEventError, match=r"must be \(lo, hi\) pairs"):
+        EventF2({"a": [(0.1, 0.2, 0.3)]})
+    with pytest.raises(InvalidEventError, match="bounds must be finite"):
+        EventF2({"a": [(0.0, math.nan)]})
+    with pytest.raises(InvalidEventError, match="must map atom ids"):
+        EventF2([("a", [(0.0, 0.5)])])  # type: ignore[arg-type]
+    with pytest.raises(InvalidEventError, match="nonempty string"):
+        EventF2({"": [(0.0, 0.5)]})
 
 
 def test_cond_exp_indicator_exact_lengths():
     m = two_atom_model()
     ev = EventF2({"a": [(0.1, 0.25), (0.5, 1.0)], "b": []})
     ce = cond_exp_indicator(m, ev)
+    assert type(ce) is dict and list(ce) == ["a", "b"]
     assert ce["a"] == math.fsum([0.25 - 0.1, 1.0 - 0.5])
     assert ce["b"] == 0.0
     with pytest.raises(InvalidEventError):
@@ -201,6 +211,8 @@ def test_u_le_h_requires_exact_id_set():
         u_le_h_event(m, {"a": 0.5, "b": 0.5, "c": 0.5})
     with pytest.raises(InvalidInputError):
         u_le_h_event(m, {"a": 0.5, "b": 1.5})
+    with pytest.raises(InvalidInputError, match="h must map atom ids"):
+        u_le_h_event(m, [("a", 0.5), ("b", 0.5)])  # type: ignore[arg-type]
 
 
 def test_atomless_split_strict_and_measurable():

@@ -112,6 +112,16 @@ def test_gauge_batch_bitwise_equals_scalar(x, y):
         assert batch[i] == gauge(Point2(xa[i], ya[i]))
 
 
+@pytest.mark.parametrize("x, y, message", [
+    ([0.0, 1.0], [0.0], "same shape"),
+    ([0.0, math.nan], [0.0, 0.0], "must be finite"),
+    ([0.0], [-math.inf], "must be finite"),
+], ids=["shape", "nan_x", "inf_y"])
+def test_gauge_batch_refuses_mismatched_or_non_finite_coordinates(x, y, message):
+    with pytest.raises(InvalidInputError, match=message):
+        gauge_batch(np.array(x), np.array(y))
+
+
 def test_gauge_oracle_rejects_bad_tol():
     with pytest.raises(InvalidInputError):
         gauge_oracle(Point2(1.0, 1.0), 0.0)

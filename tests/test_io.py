@@ -17,6 +17,8 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
+from law_pairs import law_from_pairs
+
 from comolift import io as comolift_io
 from comolift.errors import InputFormatError
 from comolift.filtration import Atom, FiltrationModel
@@ -71,7 +73,7 @@ def test_ingest_atoms_basic(tmp_path):
     p.write_text("atom_id,weight,f,g\na,0.5,0,0\nb,0.5,8,8\n")
     m = ingest_atoms(p)
     assert m.ids() == ("a", "b")
-    assert m.atom("b").payoff.as_tuple() == (8.0, 8.0)
+    assert (m.f[1], m.g[1]) == (8.0, 8.0)
     assert math.fsum(a.weight for a in m.atoms) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -152,7 +154,8 @@ def test_model_constructors_and_atoms_file_agree(tmp_path, columns):
         assert m.weights().tobytes() == np.array(weights).tobytes()
         assert (m.f.tobytes(), m.g.tobytes()) == (np.array(f).tobytes(), np.array(g).tobytes())
         assert m.atoms == tuple(atoms) == tuple(m)
-        assert m.atom(ids[-1]) == atoms[-1]
+        (i,) = np.flatnonzero(m.id_column == ids[-1])
+        assert m.atoms[i] == atoms[-1]
     p = tmp_path / "atoms.csv"
     write_atoms_csv(by_columns, p)
     again = ingest_atoms(p)
@@ -233,7 +236,7 @@ def test_samples_csv_format(tmp_path):
     first = lines[1].split(",")
     assert first[0] == "0"
     assert first[1] in ("m0", "m1")
-    assert float(first[2]) == samples[0].u  # round-trip exact
+    assert float(first[2]) == samples.u[0]  # round-trip exact
 
 
 def test_zero_draws_write_only_the_header(tmp_path):
@@ -457,8 +460,8 @@ def _oracle_read_law_csv(path):
     lam, u1, v1, u2, v2 = np.array(values).T
     single = (u1 == u2) & (v1 == v2) & ((lam == 0.0) | (lam == 1.0))
     keep = np.column_stack((np.ones_like(single), ~single))
-    return LiftedLaw.from_pairs(ids, keep, np.column_stack((np.where(single, 1.0, lam), 1.0 - lam)),
-                                np.column_stack((u1, u2)), np.column_stack((v1, v2)))
+    return law_from_pairs(ids, keep, np.column_stack((np.where(single, 1.0, lam), 1.0 - lam)),
+                          np.column_stack((u1, u2)), np.column_stack((v1, v2)))
 
 
 # Characters that str.strip removes but splitlines does not split on.
@@ -582,7 +585,7 @@ def test_read_law_csv_agrees_with_the_row_by_row_oracle(tmp_path, monkeypatch, b
         assert got == want
         assert not fault_free
         return
-    assert got.atom_ids() == want.atom_ids()
+    assert got.id_column.tolist() == want.id_column.tolist()
     for a, b in ((got.owner, want.owner), (got.prob, want.prob), (got.x, want.x), (got.y, want.y)):
         assert a.tobytes() == b.tobytes()
 
@@ -590,7 +593,7 @@ def test_read_law_csv_agrees_with_the_row_by_row_oracle(tmp_path, monkeypatch, b
 def _table_bytes(table):
     """The ids and the bytes of every column of a model or a law."""
     if isinstance(table, LiftedLaw):
-        return table.atom_ids(), [c.tobytes() for c in (table.owner, table.prob, table.x, table.y)]
+        return tuple(table.id_column.tolist()), [c.tobytes() for c in (table.owner, table.prob, table.x, table.y)]
     return table.ids(), [c.tobytes() for c in (table.weights(), table.f, table.g)]
 
 
@@ -747,7 +750,7 @@ def test_a_written_law_file_reads_back_or_is_refused(tmp_path, columns):
     n = len(ids)
     x1, y1, x2, y2 = np.array(points).reshape(n, 4).T
     keep = np.column_stack((np.ones(n, bool), ~np.array(single)))
-    law = LiftedLaw.from_pairs(ids, keep, np.column_stack((p, q)), np.column_stack((x1, x2)), np.column_stack((y1, y2)))
+    law = law_from_pairs(ids, keep, np.column_stack((p, q)), np.column_stack((x1, x2)), np.column_stack((y1, y2)))
     path = tmp_path / "law.csv"
     path.unlink(missing_ok=True)
     try:
@@ -756,7 +759,7 @@ def test_a_written_law_file_reads_back_or_is_refused(tmp_path, columns):
         assert not path.exists() and ids != _odd_ids
         return
     again = read_law_csv(path)
-    assert again.atom_ids() == tuple(ids)
+    assert again.id_column.tolist() == list(ids)
     assert again.branches == law.branches
 
 
@@ -836,11 +839,19 @@ def test_law_writer_refuses_slice_by_slice_as_the_whole_law_did(tmp_path, monkey
     assert not path.exists()
 
 
+def test_law_writer_refuses_a_law_with_no_atoms(tmp_path):
+    # Its file would be the bare header, which read_law_csv refuses as having no data rows.
+    path = tmp_path / "law.csv"
+    with pytest.raises(InputFormatError, match="law has no atoms"):
+        write_law_csv(LiftedLaw({}), path)
+    assert not path.exists()
+
+
 def test_law_writer_refuses_a_value_that_is_not_finite(tmp_path):
     path = tmp_path / "law.csv"
     for prob, x in ((0.5, math.inf), (math.nan, 1.0)):
-        law = LiftedLaw.from_pairs(["a", "b"], np.ones((2, 2), bool), np.array([[0.5, 0.5], [prob, 0.5]]),
-                                   np.array([[-1.0, 1.0], [-1.0, x]]), np.zeros((2, 2)))
+        law = law_from_pairs(["a", "b"], np.ones((2, 2), bool), np.array([[0.5, 0.5], [prob, 0.5]]),
+                             np.array([[-1.0, 1.0], [-1.0, x]]), np.zeros((2, 2)))
         with pytest.raises(InputFormatError, match="atom 'b': a law row cannot hold a value that is not finite"):
             write_law_csv(law, path)
         assert not path.exists()

@@ -12,6 +12,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from law_pairs import law_from_pairs
+
 from comolift import filtration, lifting
 from comolift.decomposition import decompose_batch
 from comolift.errors import InvalidInputError
@@ -19,7 +21,6 @@ from comolift.filtration import Atom, FiltrationModel, sample_u_arrays
 from comolift.geometry import GAUGE_CAP, Point2, gauge, gauge_batch, on_curve
 from comolift.lifting import (
     LiftedLaw,
-    SamplePair,
     align_law,
     lift,
     lifted_norm_bound,
@@ -46,6 +47,11 @@ def random_model(coords: list[tuple[float, float]]) -> FiltrationModel:
     )
 
 
+def _draws(samples):
+    """Each draw's (atom id, u, xi, eta), read from the sampler's columns."""
+    return zip(samples.ids[samples.idx].tolist(), samples.u.tolist(), samples.xi.tolist(), samples.eta.tolist())
+
+
 def test_lift_demo_frozen():
     law = lift(demo_model())
     assert law.branches["a"] == ((0.5, Point2(-4, -3)), (0.5, Point2(4, 3)))
@@ -66,8 +72,7 @@ def test_lift_collapse_conventions():
 def test_lift_mean_identity(coords):
     m = random_model(coords)
     law = lift(m)
-    for atom in m.atoms:
-        mx, my = law.mean(atom.id)
+    for atom, mx, my in zip(m.atoms, *(c.tolist() for c in law.means)):
         scale = max(1.0, gauge(atom.payoff))
         assert abs(mx - atom.payoff.x) <= 1e-12 * scale
         assert abs(my - atom.payoff.y) <= 1e-12 * scale
@@ -98,9 +103,10 @@ def test_sample_lift_stream_matches_sample_u_arrays():
     m = demo_model()
     law = lift(m)
     n = 500
-    pairs = sample_lift(m, law, n, seed=99)
+    samples = sample_lift(m, law, n, seed=99)
     idx, u = sample_u_arrays(m, n, seed=99)
-    assert [(p.atom_id, p.u) for p in pairs] == [(m.ids()[i], v) for i, v in zip(idx.tolist(), u.tolist())]
+    want = [(m.ids()[i], v) for i, v in zip(idx.tolist(), u.tolist())]
+    assert [(atom_id, v) for atom_id, v, _, _ in _draws(samples)] == want
 
 
 #: The largest value on the grid k * 2^-53 of rng.uniforms.
@@ -180,9 +186,9 @@ def test_one_weight_cum_per_run(monkeypatch):
 def test_sample_lift_emits_exact_branch_points():
     m = demo_model()
     law = lift(m)
-    for p in sample_lift(m, law, 2000, seed=5):
-        branch_points = {pt.as_tuple() for _, pt in law.branches[p.atom_id]}
-        assert (p.xi, p.eta) in branch_points
+    for atom_id, _, xi, eta in _draws(sample_lift(m, law, 2000, seed=5)):
+        branch_points = {pt.as_tuple() for _, pt in law.branches[atom_id]}
+        assert (xi, eta) in branch_points
 
 
 def test_sample_lift_branch_rule():
@@ -192,19 +198,19 @@ def test_sample_lift_branch_rule():
     lam = law.branches["a"][0][0]
     e1 = law.branches["a"][0][1]
     e2 = law.branches["a"][1][1]
-    for p in sample_lift(m, law, 1000, seed=11):
-        if p.atom_id != "a":
+    for atom_id, u, xi, eta in _draws(sample_lift(m, law, 1000, seed=11)):
+        if atom_id != "a":
             continue
-        expected = e1 if p.u <= lam else e2
-        assert (p.xi, p.eta) == expected.as_tuple()
+        expected = e1 if u <= lam else e2
+        assert (xi, eta) == expected.as_tuple()
 
 
 def test_sample_lift_single_branch_atom_is_constant():
     m = demo_model()
     law = lift(m)
-    for p in sample_lift(m, law, 1000, seed=3):
-        if p.atom_id == "b":
-            assert (p.xi, p.eta) == (8.0, 8.0)
+    for atom_id, _, xi, eta in _draws(sample_lift(m, law, 1000, seed=3)):
+        if atom_id == "b":
+            assert (xi, eta) == (8.0, 8.0)
 
 
 def test_sample_lift_frequencies():
@@ -220,28 +226,20 @@ def test_sample_lift_frequencies():
     assert abs(freq - lam) <= 5.0 * se
 
 
-def test_samples_views_match_per_draw_pairs():
-    # The pairs a per-draw list would hold, built from the sampler's columns.
+def test_samples_columns_match_sample_lift_arrays():
+    # The draws are their read-only columns: no per-draw view by index or iteration.
     m = demo_model()
     law = lift(m)
     samples = sample_lift(m, law, 300, seed=8)
     idx, u, xi, eta, _ = sample_lift_arrays(m, law, 300, seed=8)
-    pairs = [SamplePair(m.ids()[i], uv, xv, yv)
-             for i, uv, xv, yv in zip(idx.tolist(), u.tolist(), xi.tolist(), eta.tolist())]
     assert len(samples) == 300
-    assert list(samples) == pairs
-    assert (samples[0], samples[7], samples[-1], samples[-300]) == (pairs[0], pairs[7], pairs[-1], pairs[0])
-    assert all(type(value) is float for value in samples[-1][1:])
-    with pytest.raises(IndexError):
-        samples[300]
+    for got, want in ((samples.idx, idx), (samples.u, u), (samples.xi, xi), (samples.eta, eta)):
+        assert got.tobytes() == want.tobytes()
     with pytest.raises(TypeError):
-        samples[1:3]
+        samples[0]
+    with pytest.raises(TypeError):
+        iter(samples)
     assert not any(col.flags.writeable for col in (samples.idx, samples.u, samples.xi, samples.eta))
-
-
-def test_sample_pair_shape():
-    p = SamplePair("a", 0.5, -4.0, -3.0)
-    assert p.atom_id == "a" and p.u == 0.5 and (p.xi, p.eta) == (-4.0, -3.0)
 
 
 def test_lifted_norm_bound_frozen():
@@ -289,10 +287,14 @@ def test_lifted_law_shape_validation():
         LiftedLaw({"": ((1.0, Point2(0, 0)),)})
     with pytest.raises(InvalidInputError):
         LiftedLaw({"a": ((1.0, (0.0, 0.0)),)})  # type: ignore[arg-type]
+    with pytest.raises(InvalidInputError, match="branches must map atom ids"):
+        LiftedLaw([("a", ((1.0, Point2(0, 0)),))])  # type: ignore[arg-type]
+    with pytest.raises(InvalidInputError, match="branch probability must be finite"):
+        LiftedLaw({"a": ((math.nan, Point2(0, 0)),)})
     # Semantically bad but structurally fine laws are representable: the
     # verifier, not the constructor, owns the judgment.
     law = LiftedLaw({"a": ((0.4, Point2(-4, -3)), (0.4, Point2(4, 3)))})
-    assert law.mean("a") == (0.0, 0.0)
+    assert [c.tolist() for c in law.means] == [[0.0], [0.0]]
 
 
 def test_lift_error_names_the_atom():
@@ -374,7 +376,7 @@ def test_lift_peak_memory_is_the_law_plus_one_slice(collapsed):
 
 def _oracle_align_law(model, law):
     """align_law by a dict from id to model position, as it was before ids were a column."""
-    ids, law_ids = model.ids(), law.atom_ids()
+    ids, law_ids = model.ids(), tuple(law.id_column.tolist())
     if ids == law_ids:
         return law
     index = dict(zip(ids, range(len(ids))))
@@ -406,7 +408,7 @@ def _model_and_law(draw):
     keep = np.column_stack((np.ones(m, bool), draw(st.lists(st.booleans(), min_size=m, max_size=m))))
     prob, x, y = (np.array(draw(st.lists(st.floats(-4, 4), min_size=2 * m, max_size=2 * m))).reshape(m, 2)
                   for _ in range(3))
-    return model, LiftedLaw.from_pairs(law_ids, keep, prob, x, y)
+    return model, law_from_pairs(law_ids, keep, prob, x, y)
 
 
 @given(case=_model_and_law())
@@ -425,7 +427,7 @@ def test_align_law_agrees_with_the_dict_oracle(case):
         assert got is law
         return
     ids, owner, prob, x, y = want
-    assert got.atom_ids() == ids
+    assert tuple(got.id_column.tolist()) == ids
     for a, b in ((got.owner, owner), (got.prob, prob), (got.x, x), (got.y, y)):
         assert a.tobytes() == b.tobytes()
 
@@ -434,9 +436,6 @@ def test_law_ids_are_a_column_shared_with_the_model():
     m = demo_model()
     law = lift(m)
     assert law.id_column is m.id_column and not m.id_column.flags.writeable
-    assert law.atom_ids() == m.ids() == ("a", "b")
-    assert all(type(i) is str for i in law.atom_ids())
-    assert law.mean("b") == (8.0, 8.0)
-    for missing in ("zz", 5, "a\ud800"):
-        with pytest.raises(KeyError):
-            law.mean(missing)
+    assert tuple(law.id_column.tolist()) == m.ids() == ("a", "b")
+    assert all(type(i) is str for i in law.id_column.tolist())
+    assert (law.means[0][1], law.means[1][1]) == (8.0, 8.0)

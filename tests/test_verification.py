@@ -10,11 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from law_pairs import law_from_pairs
+
 from comolift.decomposition import decompose
 from comolift.errors import InvalidInputError
 from comolift.filtration import Atom, FiltrationModel
 from comolift import lifting, verification
-from comolift.geometry import MAX_STAGE, Point2, curve_distance_batch, curve_segments, gauge
+from comolift.geometry import MAX_STAGE, Point2, curve_distance_batch, curve_segments, gauge, gauge_batch
 from comolift.lifting import LiftedLaw, lift
 from comolift.verification import (
     check_comonotone_pairwise,
@@ -301,6 +303,40 @@ def test_verify_catches_slide_along_vertical_side():
     assert not row(rep, "cond_exp_identity").passed
 
 
+def _log_uniform_model(n: int, seed: int) -> FiltrationModel:
+    """n atoms with gauges log-uniform in [1e-3, 1e6], random directions and weights."""
+    rng = np.random.default_rng(seed)
+    q = rng.uniform(-1.0, 1.0, size=(n, 2))
+    r = np.exp(rng.uniform(math.log(1e-3), math.log(1e6), n))
+    f, g = (q * (r / gauge_batch(q[:, 0], q[:, 1]))[:, None]).T
+    w = rng.uniform(0.5, 1.5, n)
+    return FiltrationModel.from_columns([f"a{i}" for i in range(n)], w / math.fsum(w.tolist()), f, g)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="rows below tol miss a y-tamper (ROADMAP item 2)")
+def test_verify_fails_a_y_tamper_of_one_part_in_1e12():
+    # Scaling a branch's y slides it along its vertical side, so only the mean
+    # rows can see it, and they compare at tol relative to max(1, gauge).  On
+    # this model the same tamper of each of the first 50 two-branch atoms passes.
+    m = _log_uniform_model(1000, seed=7)
+    law = lift(m)
+    k = int(np.flatnonzero(np.diff(law.owner) == 0)[0])  # first branch of the first two-branch atom
+    y = law.y.copy()
+    y[k] *= 1.0 + 1e-12
+    tampered = LiftedLaw.from_columns(law.id_column, law.owner, law.prob, law.x, y)
+    assert not verify_model(m, tampered).overall_pass
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the Monte Carlo rows false-fail correct laws at scale (ROADMAP item 1)")
+def test_verify_passes_a_correct_law_under_monte_carlo_at_1e4_atoms():
+    # Seed 0 reads sampler_branch_freq 7.94 (and sampler_mean 7.94) against 5:
+    # the largest of 1e4 per-atom z-scores, at 10 draws per atom.
+    m = _log_uniform_model(10_000, seed=7)
+    assert verify_model(m, lift(m), mc_samples=100_000, seed=0).overall_pass
+
+
 def test_verify_fails_wrong_mean():
     m = model_of([(1.0, 0.5), (8.0, 8.0)])
     law = lift(m)
@@ -427,9 +463,9 @@ def test_verify_refuses_a_law_that_repeats_an_atom_id():
     # Per-atom rows that read one copy of b would pass this law.
     m = FiltrationModel([Atom("a", 0.5, Point2(8.0, 8.0)), Atom("b", 0.5, Point2(0.0, 0.0))])
     keep = np.array([[True, False], [True, True], [True, True]])
-    law = LiftedLaw.from_pairs(["a", "b", "b"], keep, np.array([[1.0, 0.0], [0.5, 0.5], [0.5, 0.5]]),
-                               np.array([[8.0, 8.0], [-4.0, 4.0], [-4.0, 4.0]]),
-                               np.array([[8.0, 8.0], [-4.0, 2.0], [-3.0, 3.0]]))
+    law = law_from_pairs(["a", "b", "b"], keep, np.array([[1.0, 0.0], [0.5, 0.5], [0.5, 0.5]]),
+                         np.array([[8.0, 8.0], [-4.0, 4.0], [-4.0, 4.0]]),
+                         np.array([[8.0, 8.0], [-4.0, 2.0], [-3.0, 3.0]]))
     assert law.branches == lift(m).branches  # the mapping view keeps the last copy
     repeated = r"law atoms do not match model atoms: missing \[\], extra \['b'\]"
     for mc_samples in (0, 100):
