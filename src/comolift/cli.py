@@ -9,6 +9,8 @@ defined once, as a ``RunConfig`` field.  ``curve`` and ``decompose`` stand
 alone; the other four commands are one pipeline: a model (the atoms file,
 or the built-in two-atom model for ``demo``), its law (the law file for
 ``verify``, else ``lift`` of the model), then the command's one action.
+``lift`` writes its law as it decomposes it, one slice of atoms at a time,
+so it holds the model and one slice, never the whole law.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .io import (
     write_report_kv,
     write_samples_csv,
 )
-from .lifting import lift, sample_chunks
+from .lifting import LiftSlices, lift, sample_chunks
 from .verification import verify_model
 
 __all__ = ["RunConfig", "parse_args", "run", "main"]
@@ -142,11 +144,11 @@ def run(config: RunConfig, out=None) -> int:
     if command not in ("lift", "sample", "verify", "demo"):
         raise AssertionError(f"unhandled command {command!r}")
     model = _demo_model() if command == "demo" else ingest_atoms(config.input_path)
+    if command == "lift":
+        write_law_csv(LiftSlices(model), config.output_path)
+        return 0
     law = read_law_csv(config.law_path) if command == "verify" else lift(model)
 
-    if command == "lift":
-        write_law_csv(law, config.output_path)
-        return 0
     if command == "sample":
         write_samples_csv(sample_chunks(model, law, config.samples, config.seed), config.output_path)
         return 0

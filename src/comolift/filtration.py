@@ -150,7 +150,16 @@ class FiltrationModel:
         model._init(ids, *(np.array(column, dtype=np.float64) for column in (weights, f, g)))
         return model
 
-    def _init(self, ids: Sequence[str], weights, f, g) -> None:
+    @classmethod
+    def _from_reader(cls, ids: np.ndarray, weights: np.ndarray, f: np.ndarray, g: np.ndarray) -> FiltrationModel:
+        """A model that freezes and keeps a reader's own float64 columns, not
+        copies, under the checks of :meth:`from_columns` but the repeat check:
+        the reader has proven the ids unique."""
+        model = cls.__new__(cls)
+        model._init(ids, weights, f, g, ids_unique=True)
+        return model
+
+    def _init(self, ids: Sequence[str], weights, f, g, ids_unique: bool = False) -> None:
         ids = id_column(ids)
         if not ids.size:
             raise InvalidInputError("model needs at least one atom")
@@ -164,11 +173,12 @@ class FiltrationModel:
             fault = (f"weight must be in (0, 1], got {w!r}" if not 0.0 < w <= 1.0
                      else f"f must be finite, got {x!r}" if not math.isfinite(x) else f"g must be finite, got {y!r}")
             raise InvalidInputError(f"atom {ids[i]!r}: {fault}")
-        in_order = np.sort(ids, kind="stable")
-        if np.any(in_order[1:] == in_order[:-1]):  # walk the ids only to name the first repeat
-            seen: set[str] = set()
-            repeat = next(atom_id for atom_id in ids.tolist() if atom_id in seen or seen.add(atom_id))
-            raise InvalidInputError(f"duplicate atom id {repeat!r}")
+        if not ids_unique:
+            in_order = np.sort(ids, kind="stable")
+            if np.any(in_order[1:] == in_order[:-1]):  # walk the ids only to name the first repeat
+                seen: set[str] = set()
+                repeat = next(atom_id for atom_id in ids.tolist() if atom_id in seen or seen.add(atom_id))
+                raise InvalidInputError(f"duplicate atom id {repeat!r}")
         total = fsum_column(weights)
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise InvalidInputError(f"atom weights must sum to 1 within {WEIGHT_SUM_TOL}, got {total!r}")
@@ -199,8 +209,12 @@ class FiltrationModel:
 
 
 def _normalize_intervals(atom_id: str, raw: Sequence[tuple[float, float]]) -> tuple[tuple[float, float], ...]:
+    try:
+        pairs = [tuple(pair) for pair in raw]
+    except TypeError:  # raw, or an item of it, is not iterable
+        pairs = [()]
     checked: list[tuple[float, float]] = []
-    for pair in raw:
+    for pair in pairs:
         if len(pair) != 2:
             raise InvalidEventError(f"atom {atom_id!r}: intervals must be (lo, hi) pairs")
         lo, hi = float(pair[0]), float(pair[1])
@@ -241,7 +255,7 @@ class EventF2:
         for atom_id, raw in self.intervals.items():
             if not isinstance(atom_id, str) or not atom_id:
                 raise InvalidEventError(f"atom id must be a nonempty string, got {atom_id!r}")
-            pieces = _normalize_intervals(atom_id, tuple(raw))
+            pieces = _normalize_intervals(atom_id, raw)
             if pieces:
                 norm[atom_id] = pieces
         object.__setattr__(self, "intervals", norm)

@@ -23,13 +23,20 @@ any line break that ``str.splitlines`` splits on).  One table reader parses
 every CSV input.  Plain text (no ``"`` and no line break but ``\\n``, as in every
 file the writers write) is read twice a block of bytes at a time: once to count
 its rows, then to parse each block, cut after its last ``\\n`` (a byte no
-multibyte UTF-8 sequence holds), straight into the table's whole columns, so
-only one block's text and lines are held at once.  Any other file, or one that
+multibyte UTF-8 sequence holds), straight into the whole id column and one
+contiguous array per value column, so only one block's text and lines are
+held at once.  ``ingest_atoms`` renormalizes the weight column in place and
+builds the model from the reader's own columns, with no copy, and with no
+second proof that the ids are unique.  Any other file, or one that
 breaks a rule, is read again from the start by the row loop, which names the
 first fault.  A pipe, which cannot seek back, is read once and held.  Ids are
 held as one numpy ``StringDType`` column (numpy >= 2.0) from reader to writer.
 One table writer lays out every CSV output row: a slice of rows is one join
-over its cells, laid out between their ``,`` and ``\n`` separators.
+over its cells, laid out between their ``,`` and ``\n`` separators.  The law
+writer takes one law or a law's consecutive slices, as
+:class:`~comolift.lifting.LiftSlices` gives them, and walks them twice: it
+checks every row before it opens its file, then writes, so it holds one
+slice at a time.
 
 The writer takes plain columns, formatted cell by cell, and coded columns:
 an object array of cells and one code per row, so a value that repeats is
@@ -194,7 +201,7 @@ def _line_blocks(fh: BinaryIO) -> Iterator[bytes]:
 def _read_blocks(fh: BinaryIO, header: list[str], low: list[float]) -> tuple[np.ndarray, np.ndarray] | None:
     """The table of a plain file, read a block of lines at a time, or None when the
     file is not plain or a line breaks a rule of :func:`_read_rows`, which then reads
-    every line."""
+    every line.  Each value column is one contiguous row of the (k, n) array."""
     k, limit = len(header), csv.field_size_limit()
     # Count the rows first, so that each block's ids and values go straight into whole
     # columns: parts joined at the end would leave their memory to the process.
@@ -203,7 +210,7 @@ def _read_blocks(fh: BinaryIO, header: list[str], low: list[float]) -> tuple[np.
         rows, ends = rows + chunk.count(b"\n"), chunk.endswith(b"\n")
     rows -= ends  # the header's line; a last line with no "\n" is a row
     fh.seek(0)
-    ids, hashes, table = np.empty(rows, dtype=ID_DTYPE), np.empty(rows, dtype=np.int64), np.empty((rows, k - 1))
+    ids, hashes, columns = np.empty(rows, dtype=ID_DTYPE), np.empty(rows, dtype=np.int64), np.empty((k - 1, rows))
     lo = 0
     for n, block in enumerate(_line_blocks(fh)):
         try:
@@ -228,9 +235,9 @@ def _read_blocks(fh: BinaryIO, header: list[str], low: list[float]) -> tuple[np.
         block_ids = list(map(str.strip, cells[::k]))
         del cells[::k]
         hi = lo + len(block_ids)
-        values = table[lo:hi]
         try:  # a file that grew since it was counted does not fit, and goes to the row loop too
-            values[:] = np.fromiter(map(float, map(str.strip, cells)), np.float64, len(cells)).reshape(-1, k - 1)
+            values = np.fromiter(map(float, map(str.strip, cells)), np.float64, len(cells)).reshape(-1, k - 1)
+            columns[:, lo:hi] = values.T
         except ValueError:
             return None
         if "" in block_ids or not np.all((low < values) & (values < math.inf)):
@@ -244,7 +251,7 @@ def _read_blocks(fh: BinaryIO, header: list[str], low: list[float]) -> tuple[np.
     hashes.sort()
     if np.any(hashes[1:] == hashes[:-1]):
         return None
-    return frozen_array(ids, ID_DTYPE), table.T
+    return frozen_array(ids, ID_DTYPE), columns
 
 
 def _read_rows(source: BinaryIO, name: str, header: list[str], low: list[float]) -> tuple[np.ndarray, np.ndarray]:
@@ -296,7 +303,9 @@ def ingest_atoms(path: str | Path) -> FiltrationModel:
 
     Weights must be positive and sum to 1 within WEIGHT_RENORM_TOL; an
     in-tolerance drift is renormalized away, anything worse is rejected.
-    Errors carry the file name and line number.
+    Errors carry the file name and line number.  The model keeps the
+    reader's columns, the weights renormalized in place, and both readers
+    prove the ids unique, so the model does not check them again.
     """
     ids, (weights, f, g) = _read_table(path, _ATOMS_HEADER, positive=("weight",))
     try:
@@ -305,7 +314,8 @@ def ingest_atoms(path: str | Path) -> FiltrationModel:
         total = math.inf
     if abs(total - 1.0) > WEIGHT_RENORM_TOL:
         raise InputFormatError(f"{path}: atom weights sum to {total!r}, outside 1 +- {WEIGHT_RENORM_TOL}")
-    return FiltrationModel.from_columns(ids, weights / total, f, g)
+    weights /= total
+    return FiltrationModel._from_reader(ids, weights, f, g)
 
 
 def _open_out(path: str | Path) -> TextIO:
@@ -380,39 +390,62 @@ def _law_slice(law: LiftedLaw, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray
                          u1, v1, law.x[last], law.y[last])
 
 
-def write_law_csv(law: LiftedLaw, path: str | Path) -> None:
+def _write_slices(law: LiftedLaw) -> Iterator[tuple[int, int]]:
+    """The atoms [lo, hi) of each write slice of ``law``, in order."""
+    return ((lo, min(lo + _WRITE_ROWS, law.id_column.size)) for lo in range(0, law.id_column.size, _WRITE_ROWS))
+
+
+def write_law_csv(law: LiftedLaw | Iterable[LiftedLaw], path: str | Path) -> None:
     """One row per atom, in the law's own atom order.
 
     Two-branch atoms store lambda and both points.  Single-branch atoms
     repeat their point in both slots, with lambda 1 when the point sits on a
     negative vertical side (x < 0) and 0 otherwise.  A law that cannot be
     written, or not read back unchanged, is rejected before the file is opened:
-    the first rule any atom breaks is reported, at the first atom that breaks
-    it.  The law is checked, then written, one write slice of atoms at a time.
+    a law with no atoms, then an id that breaks the id rule, then the first
+    rule any atom breaks, at the first atom that breaks it.
+
+    ``law`` is one law, or one law's consecutive slices, such as
+    :class:`~comolift.lifting.LiftSlices` gives: a collection, not an
+    iterator, as it is walked twice, once to check and once to write, so no
+    more than one slice is held.  Each is checked, then written, one write
+    slice of atoms at a time.
     """
-    ids = law.id_column
-    if not ids.size:
+    parts = (law,) if isinstance(law, LiftedLaw) else law
+    if iter(parts) is parts:
+        raise TypeError("write_law_csv walks the law slices twice: pass a collection, not an iterator")
+    atoms, id_fault = 0, None
+    broken: dict[int, str] = {}  # rule -> its fault at the first atom that breaks it
+    for part in parts:
+        ids = part.id_column
+        atoms += ids.size
+        if id_fault is None:
+            try:
+                _require_good_ids(ids)
+            except InputFormatError as exc:
+                id_fault = exc
+        for lo, hi in _write_slices(part):
+            first, last, columns = _law_slice(part, lo, hi)
+            u1, v1, u2, v2, p, single = *columns[1:], part.prob[first], first == last
+            collapses = (u1 == u2) & (v1 == v2) & ((p == 0.0) | (p == 1.0))
+            for rule, bad in enumerate((last - first > 1,
+                                        ~np.logical_and.reduce(list(map(np.isfinite, columns))),
+                                        single & (p != 1.0),
+                                        ~single & (part.prob[last] != 1.0 - p),
+                                        ~single & collapses)):
+                if rule not in broken and np.any(bad):
+                    i = lo + int(np.argmax(bad))
+                    broken[rule] = f"atom {ids[i]!r}: " + (
+                        f"cannot serialize {np.count_nonzero(part.owner == i)} branches" if rule == 0
+                        else f"a law row cannot hold {_LAW_ROW_FAULTS[rule - 1]}")
+    if not atoms:
         raise InputFormatError("law has no atoms: a law file needs at least one data row")
-    _require_good_ids(ids)
-    slices = [(lo, min(lo + _WRITE_ROWS, ids.size)) for lo in range(0, ids.size, _WRITE_ROWS)]
-    broken: dict[int, int] = {}  # rule -> first atom that breaks it
-    for lo, hi in slices:
-        first, last, columns = _law_slice(law, lo, hi)
-        u1, v1, u2, v2, p, single = *columns[1:], law.prob[first], first == last
-        collapses = (u1 == u2) & (v1 == v2) & ((p == 0.0) | (p == 1.0))
-        for rule, bad in enumerate((last - first > 1,
-                                    ~np.logical_and.reduce(list(map(np.isfinite, columns))),
-                                    single & (p != 1.0),
-                                    ~single & (law.prob[last] != 1.0 - p),
-                                    ~single & collapses)):
-            if rule not in broken and np.any(bad):
-                broken[rule] = lo + int(np.argmax(bad))
+    if id_fault is not None:
+        raise id_fault
     if broken:
-        rule, i = min(broken.items())
-        what = (f"cannot serialize {np.count_nonzero(law.owner == i)} branches" if rule == 0
-                else f"a law row cannot hold {_LAW_ROW_FAULTS[rule - 1]}")
-        raise InputFormatError(f"atom {ids[i]!r}: {what}")
-    _write_csv(path, _LAW_HEADER, ((ids[lo:hi], *_law_slice(law, lo, hi)[2]) for lo, hi in slices))
+        raise InputFormatError(broken[min(broken)])
+    _write_csv(path, _LAW_HEADER, ((part.id_column[lo:hi], *_law_slice(part, lo, hi)[2])
+                                   for part in parts for lo, hi in _write_slices(part)))
 
 
 def read_law_csv(path: str | Path) -> LiftedLaw:

@@ -1,15 +1,17 @@
 """Per-atom two-point laws whose conditional mean reproduces the payoffs.
 
-``lift`` decomposes the payoffs a slice of atoms at a time, each slice in one
-:func:`decompose_batch` call written straight into preallocated (atom, slot)
-arrays of probability, x and y, and stores the result as a small discrete law
-on the staircase curve: two branches (lam at e1, 1-lam at e2), collapsed to a
-single branch when lam is exactly 0 or 1.  Each slice's kept slots are moved
-down in place to follow the slots kept before it, and the law's columns are
-the leading part of those arrays, so ``lift`` holds no more than the law and
-one slice's temporaries whether or not atoms collapse.  Pooled over atoms,
-the branch points all lie on one monotone curve, so the lifted pair is
-comonotone while conditionally averaging back to the original payoffs.
+Each atom's payoff gets its own small discrete law on the staircase curve:
+two branches (lam at e1, 1-lam at e2), collapsed to a single branch when lam
+is exactly 0 or 1.  No atom's law depends on another's, so one slice kernel,
+:class:`LiftSlices`, decomposes the payoffs a slice of atoms at a time, each
+slice in one :func:`decompose_batch` call, into one law per slice.  ``lift``
+copies each slice's branches behind those of the slices before it, into
+arrays of two slots per atom whose leading part is the law's columns, so it
+holds no more than the law and one slice whether or not atoms collapse.  The
+``lift`` command hands the slices straight to the law writer, so it holds
+the model and one slice, never the whole law.  Pooled over atoms, the branch
+points all lie on one monotone curve, so the lifted pair is comonotone while
+conditionally averaging back to the original payoffs.
 
 ``LiftedLaw`` is columnar: flat per-branch arrays (owning atom, probability,
 x, y) with each atom's branches contiguous, plus the atom ids in law order as
@@ -56,6 +58,7 @@ __all__ = [
     "Samples",
     "NormBoundRow",
     "align_law",
+    "LiftSlices",
     "lift",
     "sample_table",
     "sample_branch",
@@ -71,7 +74,7 @@ Branches = tuple[tuple[float, Point2], ...]
 #: Draws per :class:`Samples` that :func:`sample_chunks` yields, so a streamed
 #: run holds one chunk of draws at a time; the draws do not depend on it.
 _DRAW_CHUNK = 16_384
-#: Atoms :func:`lift` decomposes at a time; the law does not depend on it.
+#: Atoms per :class:`LiftSlices` slice; the law does not depend on it.
 _LIFT_SLICE = 4096
 
 
@@ -94,7 +97,10 @@ class LiftedLaw:
         for i, (atom_id, branch) in enumerate(branches.items()):
             if not isinstance(atom_id, str) or not atom_id:
                 raise InvalidInputError(f"atom id must be a nonempty string, got {atom_id!r}")
-            branch = tuple(branch)
+            try:
+                branch = [tuple(item) for item in branch]
+            except TypeError:  # branch, or an item of it, is not iterable
+                branch = [()]
             if not branch:
                 raise InvalidInputError(f"atom {atom_id!r}: needs at least one branch")
             for item in branch:
@@ -209,39 +215,54 @@ def align_law(model: FiltrationModel, law: LiftedLaw) -> LiftedLaw:
     return LiftedLaw.from_columns(ids, rank[law.owner[order]], law.prob[order], law.x[order], law.y[order])
 
 
-def lift(model: FiltrationModel) -> LiftedLaw:
-    """Decompose every atom's payoff into its two-point law.
+class LiftSlices:
+    """The law :func:`lift` builds from ``model``, as one law per slice of
+    ``_LIFT_SLICE`` atoms, in model order, decomposed afresh each time the
+    slices are iterated, so no more than one slice's law is held at a time.
 
-    Exact-boundary weights collapse: lam == 0.0 keeps only e2, lam == 1.0
-    keeps only e1, so no branch ever carries probability zero.
+    A slice law holds the model's ids for those atoms, and counts ``owner``
+    from its own first atom.  Exact-boundary weights collapse: lam == 0.0
+    keeps only e2, lam == 1.0 keeps only e1, so no branch ever carries
+    probability zero.  An atom past the gauge cap raises, naming the first
+    one, when its slice is reached.
     """
-    # Atom i's two slots are row i: (lam, e1) and (1 - lam, e2).  The m slots kept
-    # so far fill the first m places of the raveled rows, and m never passes the
-    # current slice's first slot, so its kept slots move down without touching a
-    # row still to be written.
+
+    def __init__(self, model: FiltrationModel) -> None:
+        self.model = model
+
+    def __iter__(self) -> Iterator[LiftedLaw]:
+        ids, f, g = self.model.id_column, self.model.f, self.model.g
+        for lo in range(0, ids.size, _LIFT_SLICE):
+            rows = slice(lo, lo + _LIFT_SLICE)
+            try:
+                _, lam, e1x, e1y, e2x, e2y = decompose_batch(f[rows], g[rows])
+            except InvalidInputError as exc:  # the atoms before this slice passed, so the first bad one is in it
+                bad = lo + int(np.argmax(gauge_batch(f[rows], g[rows]) > GAUGE_CAP))
+                raise InvalidInputError(f"atom {ids[bad]!r}: {exc}") from exc
+            # Atom i's two slots are 2i: (lam, e1) and 2i + 1: (1 - lam, e2).  The slot whose
+            # weight is exactly 0 is dropped: lam is finite, and 1 - lam is 0 exactly when lam is 1.
+            prob = np.stack((lam, 1.0 - lam), axis=1).reshape(-1)
+            slots = np.flatnonzero(prob != 0.0)
+            x, y = (np.stack(pair, axis=1).reshape(-1)[slots] for pair in ((e1x, e2x), (e1y, e2y)))
+            yield LiftedLaw.from_columns(ids[rows], slots >> 1, prob[slots], x, y)
+
+
+def lift(model: FiltrationModel) -> LiftedLaw:
+    """Decompose every atom's payoff into its two-point law: the slices of
+    :class:`LiftSlices` joined into one law."""
+    # Each slice's branches follow those of the slices before it, in arrays of two
+    # slots per atom whose leading part is the law: so lift holds no more than the
+    # law and one slice, whether or not atoms collapse.
     n = model.id_column.size
-    owner, prob, x, y = np.empty(2 * n, np.int64), np.empty((n, 2)), np.empty((n, 2)), np.empty((n, 2))
-    columns = prob.reshape(-1), x.reshape(-1), y.reshape(-1)
+    owner, prob, x, y = np.empty(2 * n, np.int64), np.empty(2 * n), np.empty(2 * n), np.empty(2 * n)
     m = 0
-    for lo in range(0, n, _LIFT_SLICE):
-        rows = slice(lo, lo + _LIFT_SLICE)
-        f, g = model.f[rows], model.g[rows]
-        try:
-            _, lam, x[rows, 0], y[rows, 0], x[rows, 1], y[rows, 1] = decompose_batch(f, g)
-        except InvalidInputError as exc:  # the atoms before this slice passed, so the first bad one is in it
-            bad = lo + int(np.argmax(gauge_batch(f, g) > GAUGE_CAP))
-            raise InvalidInputError(f"atom {model.id_column[bad]!r}: {exc}") from exc
-        prob[rows, 0], prob[rows, 1] = lam, 1.0 - lam
-        # The slot whose weight is exactly 0 is dropped: lam is finite, and 1 - lam is 0 exactly when lam is 1.
-        slots = np.flatnonzero(prob[rows].reshape(-1) != 0.0)
-        slots += 2 * lo
-        end = m + slots.size
-        for column in columns:
-            column[m:end] = column[slots]  # the gather copies before it writes
-        slots >>= 1
-        owner[m:end] = slots
+    for lo, part in zip(range(0, n, _LIFT_SLICE), LiftSlices(model)):
+        end = m + part.owner.size
+        owner[m:end] = part.owner
+        owner[m:end] += lo
+        prob[m:end], x[m:end], y[m:end] = part.prob, part.x, part.y
         m = end
-    return LiftedLaw.from_columns(model.id_column, owner[:m], *(column[:m] for column in columns))
+    return LiftedLaw.from_columns(model.id_column, owner[:m], prob[:m], x[:m], y[:m])
 
 
 def sample_table(model: FiltrationModel, law: LiftedLaw) -> tuple[np.ndarray, ...]:

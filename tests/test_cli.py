@@ -9,6 +9,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,9 +21,11 @@ from comolift import cli
 from comolift import io as comolift_io
 from comolift import lifting
 from comolift.cli import RunConfig, main, parse_args, run
+from comolift.decomposition import decompose_batch
+from comolift.errors import InvalidInputError
 from comolift.filtration import Atom, FiltrationModel
 from comolift.geometry import MAX_STAGE, Point2
-from comolift.io import ingest_atoms, write_atoms_csv, write_samples_csv
+from comolift.io import ingest_atoms, write_atoms_csv, write_law_csv, write_samples_csv
 from comolift.lifting import lift, sample_lift
 
 
@@ -563,6 +566,98 @@ def test_sample_formats_each_branch_point_once(tmp_path, monkeypatch, draws, chu
     assert main(["sample", "--input", str(atoms), "--output", str(out), "--samples", str(draws)]) == 0
     assert draws <= len(calls) <= draws + 2 * min(draws, branches)
     assert len(out.read_text().splitlines()) == draws + 1
+
+
+# A payoff of gauge at most 2^k <= the cap, as (4a * 2^k, (3a + b) * 2^k) with |a|, |b| <= 1,
+# left as it is or moved onto a vertical side of its stage (e1 or e2 of its decomposition,
+# where lam is exactly 1 or 0), or pushed past the cap.
+_lift_payoff = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.integers(-40, MAX_STAGE - 1),
+                         st.sampled_from(["point", "e1", "e2", "huge"]))
+
+
+@given(payoffs=st.lists(_lift_payoff, min_size=1, max_size=30),
+       slice_atoms=st.one_of(st.integers(1, 7), st.just(lifting._LIFT_SLICE)),
+       write_rows=st.one_of(st.integers(1, 7), st.just(comolift_io._WRITE_ROWS)))
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_streamed_lift_command_writes_the_file_of_the_whole_law(tmp_path, capsys, monkeypatch,
+                                                               payoffs, slice_atoms, write_rows):
+    # The command writes each lift slice's rows as it decomposes the slice; the oracle
+    # builds the whole law first, under the default slice sizes.  An over-cap atom in
+    # any slice exits 3 with lift's message and leaves no file.
+    a, b, k, kind = (np.array(c) for c in zip(*payoffs))
+    x, y = np.ldexp(4.0 * a, k), np.ldexp(3.0 * a + b, k)
+    _, _, e1x, e1y, e2x, e2y = decompose_batch(x, y)
+    on_e1, on_e2 = kind == "e1", kind == "e2"
+    x, y = np.select([on_e1, on_e2, kind == "huge"], [e1x, e2x, 1e308], x), np.select([on_e1, on_e2], [e1y, e2y], y)
+    n = len(payoffs)
+    model = FiltrationModel.from_columns([f"m{i}" for i in range(n)], [1.0 / n] * n, x, y)
+    atoms, out, oracle = tmp_path / "atoms.csv", tmp_path / "law.csv", tmp_path / "oracle.csv"
+    write_atoms_csv(model, atoms)
+    out.unlink(missing_ok=True)
+    try:
+        write_law_csv(lift(ingest_atoms(atoms)), oracle)
+        want = (0, "", oracle.read_bytes())
+    except InvalidInputError as exc:
+        want = (3, f"error: {exc}\n", None)
+    with monkeypatch.context() as patch:
+        patch.setattr(lifting, "_LIFT_SLICE", slice_atoms)
+        patch.setattr(comolift_io, "_WRITE_ROWS", write_rows)
+        code = main(["lift", "--input", str(atoms), "--output", str(out)])
+    assert (code, capsys.readouterr().err, out.read_bytes() if out.exists() else None) == want
+
+
+def test_lift_command_error_precedence(tmp_path, capsys, monkeypatch):
+    # An ingest fault, then the first over-cap atom, then the writer's id rule, then an
+    # output that cannot be opened; each exits 3 and leaves no file.  With slices of two
+    # atoms, the id fault sits in a slice before the over-cap atom's.
+    monkeypatch.setattr(lifting, "_LIFT_SLICE", 2)
+    monkeypatch.setattr(comolift_io, "_WRITE_ROWS", 2)
+    atoms, law, unopenable = tmp_path / "atoms.csv", tmp_path / "law.csv", tmp_path / "missing" / "law.csv"
+    atoms.write_text("atom_id,weight,f,g\na,-0.2,0,0\nb,0.2,1,1\nc,0.2,2,2\nd,0.2,3,3\ne,0.2,1e308,0\n")
+    ids, five = [" a", "b", "c", "d", "e"], [0.2] * 5
+    models = {
+        "over_cap": FiltrationModel.from_columns(ids, five, [0, 1, 2, 3, 1e308], five),
+        "id_rule": FiltrationModel.from_columns(ids, five, [0, 1, 2, 3, 4], five),
+        "good": FiltrationModel.from_columns(["a", "b", "c", "d", "e"], five, [0, 1, 2, 3, 4], five),
+    }
+    cases = [
+        (None, [law, unopenable], f"error: {atoms}:2: weight must be positive, got '-0.2'\n"),
+        ("over_cap", [law, unopenable], "error: atom 'e': gauge 7.5e+307 exceeds the stage cap 2^1019\n"),
+        ("id_rule", [law, unopenable], "error: atom id ' a' would not read back\n"),
+        ("good", [unopenable], f"error: cannot write {unopenable}: "),
+    ]
+    for key, outputs, message in cases:
+        if key:
+            monkeypatch.setattr(cli, "ingest_atoms", lambda path: models[key])
+        for out in outputs:
+            assert main(["lift", "--input", str(atoms), "--output", str(out)]) == 3, (key, out)
+            assert capsys.readouterr().err.startswith(message), (key, out)
+            assert not law.exists() and not unopenable.parent.exists()
+
+
+def test_lift_command_holds_the_model_and_one_slice(tmp_path):
+    # lift writes each slice's law rows as it decomposes the slice, and the model
+    # keeps the reader's own value columns: on a 1e5-atom plain file the command
+    # peaks at 6.81 MB, over a model of 3.82 MB.  Building the whole law (6.10 MB of
+    # branch columns) before writing, from a model copied out of a (rows, 3) table,
+    # peaked at 12.24 MB.
+    n = 100_000
+    rng = np.random.default_rng(7)
+    w = rng.uniform(0.5, 1.5, n)
+    w /= math.fsum(w.tolist())
+    f, g = rng.normal(0.0, 1e3, n), rng.normal(0.0, 1e3, n)
+    atoms, out = tmp_path / "atoms.csv", tmp_path / "law.csv"
+    atoms.write_text("atom_id,weight,f,g\n" + "".join(
+        f"a7x{i},{a!r},{b!r},{c!r}\n" for i, (a, b, c) in enumerate(zip(w.tolist(), f.tolist(), g.tolist()))))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        code = main(["lift", "--input", str(atoms), "--output", str(out)])
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and len(out.read_text().splitlines()) == n + 1
+    assert peak <= 8 * 2**20, peak / 2**20
 
 
 def test_sample_law_mismatch_leaves_no_output(tmp_path, capsys, monkeypatch):

@@ -158,6 +158,10 @@ def test_event_rejects_overlap_and_out_of_range():
         EventF2({"a": [(0.5, 0.2)]})
     with pytest.raises(InvalidEventError, match=r"must be \(lo, hi\) pairs"):
         EventF2({"a": [(0.1, 0.2, 0.3)]})
+    with pytest.raises(InvalidEventError, match=r"atom 'a': intervals must be \(lo, hi\) pairs"):
+        EventF2({"a": [0.5]})  # an item that is not a sequence
+    with pytest.raises(InvalidEventError, match=r"atom 'a': intervals must be \(lo, hi\) pairs"):
+        EventF2({"a": 5})  # type: ignore[dict-item]
     with pytest.raises(InvalidEventError, match="bounds must be finite"):
         EventF2({"a": [(0.0, math.nan)]})
     with pytest.raises(InvalidEventError, match="must map atom ids"):

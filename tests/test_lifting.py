@@ -291,6 +291,8 @@ def test_lifted_law_shape_validation():
         LiftedLaw([("a", ((1.0, Point2(0, 0)),))])  # type: ignore[arg-type]
     with pytest.raises(InvalidInputError, match="branch probability must be finite"):
         LiftedLaw({"a": ((math.nan, Point2(0, 0)),)})
+    with pytest.raises(InvalidInputError, match=r"atom 'a': branches must be \(prob, Point2\) pairs"):
+        LiftedLaw({"a": (1.0,)})  # type: ignore[dict-item]
     # Semantically bad but structurally fine laws are representable: the
     # verifier, not the constructor, owns the judgment.
     law = LiftedLaw({"a": ((0.4, Point2(-4, -3)), (0.4, Point2(4, 3)))})
