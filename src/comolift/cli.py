@@ -9,8 +9,8 @@ defined once, as a ``RunConfig`` field.  ``curve`` and ``decompose`` stand
 alone; the other four commands are one pipeline: a model (the atoms file,
 or the built-in two-atom model for ``demo``), its law (the law file for
 ``verify``, else ``lift`` of the model), then the command's one action.
-``lift`` writes its law as it decomposes it, one slice of atoms at a time,
-so it holds the model and one slice, never the whole law.
+``lift`` writes its law's rows as it decomposes them, one slice of atoms at
+a time, each once, so it holds the model and one slice, never the whole law.
 """
 
 from __future__ import annotations
@@ -30,12 +30,12 @@ from .io import (
     format_float,
     ingest_atoms,
     read_law_csv,
-    write_law_csv,
+    write_lift_csv,
     write_report_csv,
     write_report_kv,
     write_samples_csv,
 )
-from .lifting import LiftSlices, lift, sample_chunks
+from .lifting import lift, sample_chunks
 from .verification import verify_model
 
 __all__ = ["RunConfig", "parse_args", "run", "main"]
@@ -145,7 +145,7 @@ def run(config: RunConfig, out=None) -> int:
         raise AssertionError(f"unhandled command {command!r}")
     model = _demo_model() if command == "demo" else ingest_atoms(config.input_path)
     if command == "lift":
-        write_law_csv(LiftSlices(model), config.output_path)
+        write_lift_csv(model, config.output_path)
         return 0
     law = read_law_csv(config.law_path) if command == "verify" else lift(model)
 

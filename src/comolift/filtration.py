@@ -153,13 +153,14 @@ class FiltrationModel:
     @classmethod
     def _from_reader(cls, ids: np.ndarray, weights: np.ndarray, f: np.ndarray, g: np.ndarray) -> FiltrationModel:
         """A model that freezes and keeps a reader's own float64 columns, not
-        copies, under the checks of :meth:`from_columns` but the repeat check:
-        the reader has proven the ids unique."""
+        copies, under the checks of :meth:`from_columns` but the repeat check
+        and the weight sum: the reader has proven the ids unique and divided the
+        weights by their sum."""
         model = cls.__new__(cls)
-        model._init(ids, weights, f, g, ids_unique=True)
+        model._init(ids, weights, f, g, from_reader=True)
         return model
 
-    def _init(self, ids: Sequence[str], weights, f, g, ids_unique: bool = False) -> None:
+    def _init(self, ids: Sequence[str], weights, f, g, from_reader: bool = False) -> None:
         ids = id_column(ids)
         if not ids.size:
             raise InvalidInputError("model needs at least one atom")
@@ -173,15 +174,17 @@ class FiltrationModel:
             fault = (f"weight must be in (0, 1], got {w!r}" if not 0.0 < w <= 1.0
                      else f"f must be finite, got {x!r}" if not math.isfinite(x) else f"g must be finite, got {y!r}")
             raise InvalidInputError(f"atom {ids[i]!r}: {fault}")
-        if not ids_unique:
+        # A reader's weights are w / fsum(w): each quotient rounds by half an ulp and the
+        # sum by another, so they sum to 1 within about 2^-52, far inside WEIGHT_SUM_TOL.
+        if not from_reader:
             in_order = np.sort(ids, kind="stable")
             if np.any(in_order[1:] == in_order[:-1]):  # walk the ids only to name the first repeat
                 seen: set[str] = set()
                 repeat = next(atom_id for atom_id in ids.tolist() if atom_id in seen or seen.add(atom_id))
                 raise InvalidInputError(f"duplicate atom id {repeat!r}")
-        total = fsum_column(weights)
-        if abs(total - 1.0) > WEIGHT_SUM_TOL:
-            raise InvalidInputError(f"atom weights must sum to 1 within {WEIGHT_SUM_TOL}, got {total!r}")
+            total = fsum_column(weights)
+            if abs(total - 1.0) > WEIGHT_SUM_TOL:
+                raise InvalidInputError(f"atom weights must sum to 1 within {WEIGHT_SUM_TOL}, got {total!r}")
         object.__setattr__(self, "id_column", ids)
         object.__setattr__(self, "_weights", weights)
         object.__setattr__(self, "f", f)

@@ -130,7 +130,8 @@ def skew_gauge(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise InvalidInputError("x and y must have the same shape")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise InvalidInputError("coordinates must be finite")
-    s = y - 0.75 * x
+    with np.errstate(over="ignore"):  # an overflowed skew is an infinite gauge, past the cap
+        s = y - 0.75 * x
     return s, np.maximum(np.abs(x) / 4.0, np.abs(s))
 
 

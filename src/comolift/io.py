@@ -20,23 +20,22 @@ line of the first row that breaks it; every atom-keyed writer checks the
 same rule before it opens its file, and also refuses an id that would not
 read back as written (surrounding whitespace, which the reader strips, or
 any line break that ``str.splitlines`` splits on).  One table reader parses
-every CSV input.  Plain text (no ``"`` and no line break but ``\\n``, as in every
-file the writers write) is read twice a block of bytes at a time: once to count
-its rows, then to parse each block, cut after its last ``\\n`` (a byte no
-multibyte UTF-8 sequence holds), straight into the whole id column and one
-contiguous array per value column, so only one block's text and lines are
-held at once.  ``ingest_atoms`` renormalizes the weight column in place and
-builds the model from the reader's own columns, with no copy, and with no
-second proof that the ids are unique.  Any other file, or one that
-breaks a rule, is read again from the start by the row loop, which names the
-first fault.  A pipe, which cannot seek back, is read once and held.  Ids are
-held as one numpy ``StringDType`` column (numpy >= 2.0) from reader to writer.
-One table writer lays out every CSV output row: a slice of rows is one join
-over its cells, laid out between their ``,`` and ``\n`` separators.  The law
-writer takes one law or a law's consecutive slices, as
-:class:`~comolift.lifting.LiftSlices` gives them, and walks them twice: it
-checks every row before it opens its file, then writes, so it holds one
-slice at a time.
+every CSV input.  Plain text (no ``"`` and no line break but ``\\n``, or
+``\\r\\n`` read as ``\\n``, as in every file the writers write) is read twice
+a block of bytes at a time: once to count its rows, then to parse each
+block, cut after its last ``\\n`` (a byte no multibyte UTF-8 sequence holds),
+straight into the whole id column and one contiguous array per value column,
+so only one block's text and lines are held at once.  ``ingest_atoms``
+renormalizes the weight column in place and builds the model from the
+reader's own columns, with no copy, no second proof that the ids are unique
+and no second weight sum.  Any other file, or one that breaks a rule, is
+read again from the start by the row loop, which names the first fault.  A
+pipe, which cannot seek back, is read once and held.  Ids are held as one
+numpy ``StringDType`` column (numpy >= 2.0) from reader to writer.  One
+table writer lays out every CSV output row: a slice of rows is one join over
+its cells, laid out between their ``,`` and ``\n`` separators.  The law
+writer checks every row before it opens its file; :func:`write_lift_csv`
+writes ``lift``'s rows as :func:`~comolift.lifting.lift_rows` makes them.
 
 The writer takes plain columns, formatted cell by cell, and coded columns:
 an object array of cells and one code per row, so a value that repeats is
@@ -69,7 +68,7 @@ import numpy as np
 from .errors import InputFormatError
 from .filtration import ID_DTYPE, FiltrationModel, frozen_array, fsum_column
 from .geometry import Segment, curve_segments
-from .lifting import LiftedLaw, Samples
+from .lifting import LiftedLaw, Samples, lift_rows
 from .verification import VerificationReport
 
 __all__ = [
@@ -78,6 +77,7 @@ __all__ = [
     "write_atoms_csv",
     "read_law_csv",
     "write_law_csv",
+    "write_lift_csv",
     "write_samples_csv",
     "export_curve",
     "report_kv_lines",
@@ -217,6 +217,8 @@ def _read_blocks(fh: BinaryIO, header: list[str], low: list[float]) -> tuple[np.
             text = block.decode("utf-8")
         except UnicodeDecodeError:
             return None
+        if "\r" in text:  # a block ends after a "\n", so no "\r\n" is split; a lone "\r" stays
+            text = text.replace("\r\n", "\n")
         if any(map(text.__contains__, _NOT_PLAIN)):
             return None
         lines = text.split("\n")
@@ -304,8 +306,8 @@ def ingest_atoms(path: str | Path) -> FiltrationModel:
     Weights must be positive and sum to 1 within WEIGHT_RENORM_TOL; an
     in-tolerance drift is renormalized away, anything worse is rejected.
     Errors carry the file name and line number.  The model keeps the
-    reader's columns, the weights renormalized in place, and both readers
-    prove the ids unique, so the model does not check them again.
+    reader's columns, the weights renormalized in place; both readers prove
+    the ids unique, so the model checks neither them nor the weight sum again.
     """
     ids, (weights, f, g) = _read_table(path, _ATOMS_HEADER, positive=("weight",))
     try:
@@ -390,12 +392,7 @@ def _law_slice(law: LiftedLaw, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray
                          u1, v1, law.x[last], law.y[last])
 
 
-def _write_slices(law: LiftedLaw) -> Iterator[tuple[int, int]]:
-    """The atoms [lo, hi) of each write slice of ``law``, in order."""
-    return ((lo, min(lo + _WRITE_ROWS, law.id_column.size)) for lo in range(0, law.id_column.size, _WRITE_ROWS))
-
-
-def write_law_csv(law: LiftedLaw | Iterable[LiftedLaw], path: str | Path) -> None:
+def write_law_csv(law: LiftedLaw, path: str | Path) -> None:
     """One row per atom, in the law's own atom order.
 
     Two-branch atoms store lambda and both points.  Single-branch atoms
@@ -403,71 +400,46 @@ def write_law_csv(law: LiftedLaw | Iterable[LiftedLaw], path: str | Path) -> Non
     negative vertical side (x < 0) and 0 otherwise.  A law that cannot be
     written, or not read back unchanged, is rejected before the file is opened:
     a law with no atoms, then an id that breaks the id rule, then the first
-    rule any atom breaks, at the first atom that breaks it.
-
-    ``law`` is one law, or one law's consecutive slices, such as
-    :class:`~comolift.lifting.LiftSlices` gives: a collection, not an
-    iterator, as it is walked twice, once to check and once to write, so no
-    more than one slice is held.  Each is checked, then written, one write
-    slice of atoms at a time.
+    rule any atom breaks, at the first atom that breaks it.  The law is
+    checked, then written, one write slice of atoms at a time.
     """
-    parts = (law,) if isinstance(law, LiftedLaw) else law
-    if iter(parts) is parts:
-        raise TypeError("write_law_csv walks the law slices twice: pass a collection, not an iterator")
-    atoms, id_fault = 0, None
-    broken: dict[int, str] = {}  # rule -> its fault at the first atom that breaks it
-    for part in parts:
-        ids = part.id_column
-        atoms += ids.size
-        if id_fault is None:
-            try:
-                _require_good_ids(ids)
-            except InputFormatError as exc:
-                id_fault = exc
-        for lo, hi in _write_slices(part):
-            first, last, columns = _law_slice(part, lo, hi)
-            u1, v1, u2, v2, p, single = *columns[1:], part.prob[first], first == last
-            collapses = (u1 == u2) & (v1 == v2) & ((p == 0.0) | (p == 1.0))
-            for rule, bad in enumerate((last - first > 1,
-                                        ~np.logical_and.reduce(list(map(np.isfinite, columns))),
-                                        single & (p != 1.0),
-                                        ~single & (part.prob[last] != 1.0 - p),
-                                        ~single & collapses)):
-                if rule not in broken and np.any(bad):
-                    i = lo + int(np.argmax(bad))
-                    broken[rule] = f"atom {ids[i]!r}: " + (
-                        f"cannot serialize {np.count_nonzero(part.owner == i)} branches" if rule == 0
-                        else f"a law row cannot hold {_LAW_ROW_FAULTS[rule - 1]}")
-    if not atoms:
+    ids = law.id_column
+    if not ids.size:
         raise InputFormatError("law has no atoms: a law file needs at least one data row")
-    if id_fault is not None:
-        raise id_fault
+    _require_good_ids(ids)
+    slices = [(lo, min(lo + _WRITE_ROWS, ids.size)) for lo in range(0, ids.size, _WRITE_ROWS)]
+    broken: dict[int, int] = {}  # rule -> first atom that breaks it
+    for lo, hi in slices:
+        first, last, columns = _law_slice(law, lo, hi)
+        u1, v1, u2, v2, p, single = *columns[1:], law.prob[first], first == last
+        collapses = (u1 == u2) & (v1 == v2) & ((p == 0.0) | (p == 1.0))
+        for rule, bad in enumerate((last - first > 1,
+                                    ~np.logical_and.reduce(list(map(np.isfinite, columns))),
+                                    single & (p != 1.0),
+                                    ~single & (law.prob[last] != 1.0 - p),
+                                    ~single & collapses)):
+            if rule not in broken and np.any(bad):
+                broken[rule] = lo + int(np.argmax(bad))
     if broken:
-        raise InputFormatError(broken[min(broken)])
-    _write_csv(path, _LAW_HEADER, ((part.id_column[lo:hi], *_law_slice(part, lo, hi)[2])
-                                   for part in parts for lo, hi in _write_slices(part)))
+        rule, i = min(broken.items())
+        what = (f"cannot serialize {np.count_nonzero(law.owner == i)} branches" if rule == 0
+                else f"a law row cannot hold {_LAW_ROW_FAULTS[rule - 1]}")
+        raise InputFormatError(f"atom {ids[i]!r}: {what}")
+    _write_csv(path, _LAW_HEADER, ((ids[lo:hi], *_law_slice(law, lo, hi)[2]) for lo, hi in slices))
+
+
+def write_lift_csv(model: FiltrationModel, path: str | Path) -> None:
+    """``write_law_csv(lift(model), path)`` from the rows of :func:`~comolift.lifting.lift_rows`,
+    which keep the row rules by construction, as each slice is made: no law is built."""
+    rows = lift_rows(model)
+    _require_good_ids(model.id_column)
+    _write_csv(path, _LAW_HEADER, rows)
 
 
 def read_law_csv(path: str | Path) -> LiftedLaw:
-    """Load a law CSV verbatim.
-
-    A row collapses back to a single branch only when both stored points are
-    exactly equal and lambda is exactly 0 or 1 (the writer's convention for
-    collapsed laws); everything else is kept as two branches with
-    probabilities (lambda, 1 - lambda) for the verifier to judge.
-    """
-    ids, (lam, u1, v1, u2, v2) = _read_table(path, _LAW_HEADER)
-    two = ~((u1 == u2) & (v1 == v2) & ((lam == 0.0) | (lam == 1.0)))
-    # Row i's first branch follows the branches of the rows before it; its second, if kept,
-    # follows the first.  A collapsed row keeps only its first point, with probability 1.
-    first = np.cumsum(two) - two + np.arange(two.size)
-    second = first[two] + 1
-    owner = np.repeat(np.arange(two.size), 1 + two)
-    prob, x, y = np.empty(owner.size), np.empty(owner.size), np.empty(owner.size)
-    prob[first], prob[second] = np.where(two, lam, 1.0), 1.0 - lam[two]
-    x[first], x[second] = u1, u2[two]
-    y[first], y[second] = v1, v2[two]
-    return LiftedLaw.from_columns(ids, owner, prob, x, y)
+    """Load a law CSV verbatim, through :meth:`LiftedLaw.from_rows`."""
+    ids, columns = _read_table(path, _LAW_HEADER)
+    return LiftedLaw.from_rows(ids, *columns)
 
 
 def write_samples_csv(samples: Samples | Iterable[Samples], path: str | Path) -> None:

@@ -2,16 +2,16 @@
 
 Each atom's payoff gets its own small discrete law on the staircase curve:
 two branches (lam at e1, 1-lam at e2), collapsed to a single branch when lam
-is exactly 0 or 1.  No atom's law depends on another's, so one slice kernel,
-:class:`LiftSlices`, decomposes the payoffs a slice of atoms at a time, each
-slice in one :func:`decompose_batch` call, into one law per slice.  ``lift``
-copies each slice's branches behind those of the slices before it, into
-arrays of two slots per atom whose leading part is the law's columns, so it
-holds no more than the law and one slice whether or not atoms collapse.  The
-``lift`` command hands the slices straight to the law writer, so it holds
-the model and one slice, never the whole law.  Pooled over atoms, the branch
-points all lie on one monotone curve, so the lifted pair is comonotone while
-conditionally averaging back to the original payoffs.
+is exactly 0 or 1.  That law is the atom's law-file row ``lam,u1,v1,u2,v2``.
+No atom's law depends on another's, so one row kernel, :func:`lift_rows`,
+decomposes the payoffs a slice of atoms at a time into their rows, and
+:meth:`LiftedLaw.from_rows` reads rows back as a law, for a law file and for
+``lift`` alike.  ``lift`` copies each slice's branches into arrays of two
+slots per atom, so it holds no more than the law and one slice; the ``lift``
+command writes the rows as they are made, so it holds the model and one
+slice.  Pooled over atoms, the branch points all lie on one monotone curve,
+so the lifted pair is comonotone while conditionally averaging back to the
+original payoffs.
 
 ``LiftedLaw`` is columnar: flat per-branch arrays (owning atom, probability,
 x, y) with each atom's branches contiguous, plus the atom ids in law order as
@@ -58,7 +58,7 @@ __all__ = [
     "Samples",
     "NormBoundRow",
     "align_law",
-    "LiftSlices",
+    "lift_rows",
     "lift",
     "sample_table",
     "sample_branch",
@@ -74,7 +74,7 @@ Branches = tuple[tuple[float, Point2], ...]
 #: Draws per :class:`Samples` that :func:`sample_chunks` yields, so a streamed
 #: run holds one chunk of draws at a time; the draws do not depend on it.
 _DRAW_CHUNK = 16_384
-#: Atoms per :class:`LiftSlices` slice; the law does not depend on it.
+#: Atoms per :func:`lift_rows` slice; the law does not depend on it.
 _LIFT_SLICE = 4096
 
 
@@ -87,7 +87,8 @@ class LiftedLaw:
     branches are contiguous, so ``owner`` is nondecreasing.
 
     ``LiftedLaw(branches)`` builds the columns from a mapping atom id ->
-    ((prob, point), ...), and :meth:`from_columns` takes them as they are.
+    ((prob, point), ...), :meth:`from_columns` takes them as they are, and
+    :meth:`from_rows` reads them from law-file rows.
     """
 
     def __init__(self, branches: Mapping[str, Branches]) -> None:
@@ -123,6 +124,24 @@ class LiftedLaw:
         law = cls.__new__(cls)
         law._init(id_column(atom_ids), owner, prob, x, y)
         return law
+
+    @classmethod
+    def from_rows(cls, atom_ids: Sequence[str], lam: np.ndarray, u1: np.ndarray, v1: np.ndarray,
+                  u2: np.ndarray, v2: np.ndarray) -> LiftedLaw:
+        """A law from law-file rows: (lam, 1 - lam) at (u1, v1) and (u2, v2), but
+        a row whose points are equal and whose lam is 0 or 1, as the writer stores
+        a single branch, is that branch; anything else is kept for the verifier."""
+        two = ~((u1 == u2) & (v1 == v2) & ((lam == 0.0) | (lam == 1.0)))
+        # Row i's first branch follows the branches of the rows before it; its second, if kept,
+        # follows the first.  A collapsed row keeps only its first point, with probability 1.
+        first = np.cumsum(two) - two + np.arange(two.size)
+        second = first[two] + 1
+        owner = np.repeat(np.arange(two.size), 1 + two)
+        prob, x, y = np.empty(owner.size), np.empty(owner.size), np.empty(owner.size)
+        prob[first], prob[second] = np.where(two, lam, 1.0), 1.0 - lam[two]
+        x[first], x[second] = u1, u2[two]
+        y[first], y[second] = v1, v2[two]
+        return cls.from_columns(atom_ids, owner, prob, x, y)
 
     def _init(self, atom_ids: np.ndarray, owner, prob, x, y) -> None:
         self.id_column = atom_ids
@@ -215,48 +234,48 @@ def align_law(model: FiltrationModel, law: LiftedLaw) -> LiftedLaw:
     return LiftedLaw.from_columns(ids, rank[law.owner[order]], law.prob[order], law.x[order], law.y[order])
 
 
-class LiftSlices:
-    """The law :func:`lift` builds from ``model``, as one law per slice of
-    ``_LIFT_SLICE`` atoms, in model order, decomposed afresh each time the
-    slices are iterated, so no more than one slice's law is held at a time.
-
-    A slice law holds the model's ids for those atoms, and counts ``owner``
-    from its own first atom.  Exact-boundary weights collapse: lam == 0.0
-    keeps only e2, lam == 1.0 keeps only e1, so no branch ever carries
-    probability zero.  An atom past the gauge cap raises, naming the first
-    one, when its slice is reached.
-    """
-
-    def __init__(self, model: FiltrationModel) -> None:
-        self.model = model
-
-    def __iter__(self) -> Iterator[LiftedLaw]:
-        ids, f, g = self.model.id_column, self.model.f, self.model.g
-        for lo in range(0, ids.size, _LIFT_SLICE):
-            rows = slice(lo, lo + _LIFT_SLICE)
+def _refuse_over_cap(model: FiltrationModel) -> None:
+    """Refuse the first atom whose payoff gauge passes the stage cap, naming it."""
+    for lo in range(0, len(model), _LIFT_SLICE):
+        f, g = model.f[lo:lo + _LIFT_SLICE], model.g[lo:lo + _LIFT_SLICE]
+        over = gauge_batch(f, g) > GAUGE_CAP
+        if over.any():
             try:
-                _, lam, e1x, e1y, e2x, e2y = decompose_batch(f[rows], g[rows])
-            except InvalidInputError as exc:  # the atoms before this slice passed, so the first bad one is in it
-                bad = lo + int(np.argmax(gauge_batch(f[rows], g[rows]) > GAUGE_CAP))
-                raise InvalidInputError(f"atom {ids[bad]!r}: {exc}") from exc
-            # Atom i's two slots are 2i: (lam, e1) and 2i + 1: (1 - lam, e2).  The slot whose
-            # weight is exactly 0 is dropped: lam is finite, and 1 - lam is 0 exactly when lam is 1.
-            prob = np.stack((lam, 1.0 - lam), axis=1).reshape(-1)
-            slots = np.flatnonzero(prob != 0.0)
-            x, y = (np.stack(pair, axis=1).reshape(-1)[slots] for pair in ((e1x, e2x), (e1y, e2y)))
-            yield LiftedLaw.from_columns(ids[rows], slots >> 1, prob[slots], x, y)
+                decompose_batch(f[over], g[over])  # raises, with the cap's one message
+            except InvalidInputError as exc:
+                raise InvalidInputError(f"atom {model.id_column[lo + int(np.argmax(over))]!r}: {exc}") from exc
+
+
+def lift_rows(model: FiltrationModel) -> Iterator[tuple[np.ndarray, ...]]:
+    """The law-file rows of :func:`lift`, one ``(ids, lam, u1, v1, u2, v2)`` per
+    slice of ``_LIFT_SLICE`` atoms, in model order: ``lam``, then e1 (e2 where
+    lam == 0), then e2 (e1 where lam == 1), as :meth:`LiftedLaw.from_rows`
+    reads them.  An over-cap atom raises on the call; each slice is decomposed
+    when it is reached."""
+    _refuse_over_cap(model)
+    return (_lift_row_slice(model, slice(lo, lo + _LIFT_SLICE)) for lo in range(0, len(model), _LIFT_SLICE))
+
+
+def _lift_row_slice(model: FiltrationModel, rows: slice) -> tuple[np.ndarray, ...]:
+    _, lam, e1x, e1y, e2x, e2y = decompose_batch(model.f[rows], model.g[rows])
+    # lam is exactly 0 only at e2 and exactly 1 only at e1: the row repeats the kept point.
+    u1, v1 = np.where(lam == 0.0, e2x, e1x), np.where(lam == 0.0, e2y, e1y)
+    u2, v2 = np.where(lam == 1.0, e1x, e2x), np.where(lam == 1.0, e1y, e2y)
+    return model.id_column[rows], lam, u1, v1, u2, v2
 
 
 def lift(model: FiltrationModel) -> LiftedLaw:
-    """Decompose every atom's payoff into its two-point law: the slices of
-    :class:`LiftSlices` joined into one law."""
+    """Decompose every atom's payoff into its two-point law, the :func:`lift_rows`
+    slices read by :meth:`LiftedLaw.from_rows`: lam exactly 0 or 1 keeps one
+    branch, so no branch carries probability zero."""
     # Each slice's branches follow those of the slices before it, in arrays of two
     # slots per atom whose leading part is the law: so lift holds no more than the
     # law and one slice, whether or not atoms collapse.
     n = model.id_column.size
     owner, prob, x, y = np.empty(2 * n, np.int64), np.empty(2 * n), np.empty(2 * n), np.empty(2 * n)
     m = 0
-    for lo, part in zip(range(0, n, _LIFT_SLICE), LiftSlices(model)):
+    for lo, rows in zip(range(0, n, _LIFT_SLICE), lift_rows(model)):
+        part = LiftedLaw.from_rows(*rows)
         end = m + part.owner.size
         owner[m:end] = part.owner
         owner[m:end] += lo

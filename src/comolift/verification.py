@@ -48,7 +48,7 @@ from .decomposition import decompose_batch
 from .errors import InvalidInputError
 from .filtration import FiltrationModel, fsum_column
 from .geometry import MAX_STAGE, Point2, curve_distance_batch, gauge_batch
-from .lifting import LiftedLaw, _draw, align_law, norm_bound_columns, sample_table
+from .lifting import LiftedLaw, _draw, _refuse_over_cap, align_law, norm_bound_columns, sample_table
 
 __all__ = [
     "CheckRow",
@@ -257,6 +257,7 @@ def verify_model(
     ]))
     det.append(CheckRow("branch_points_on_curve", curve_dev, tol, curve_dev <= tol))
 
+    _refuse_over_cap(model)
     _, lam, e1x, e1y, e2x, e2y = decompose_batch(f, g)
     recon_err = worst_gap(lam * e1x + (1.0 - lam) * e2x, lam * e1y + (1.0 - lam) * e2y)
     det.append(CheckRow("decompose_reconstruction", recon_err, tol, recon_err <= tol))

@@ -122,6 +122,11 @@ def test_gauge_batch_refuses_mismatched_or_non_finite_coordinates(x, y, message)
         gauge_batch(np.array(x), np.array(y))
 
 
+def test_gauge_of_a_skew_past_the_float_range_is_infinite():
+    # y - 3x/4 overflows for this finite point: its gauge is inf, with no RuntimeWarning.
+    assert gauge_batch(np.array([1.7e308]), np.array([-1.7e308])).tolist() == [math.inf]
+
+
 def test_gauge_oracle_rejects_bad_tol():
     with pytest.raises(InvalidInputError):
         gauge_oracle(Point2(1.0, 1.0), 0.0)

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from law_pairs import law_from_pairs
 
+from comolift import filtration
 from comolift import io as comolift_io
 from comolift.errors import InputFormatError
 from comolift.filtration import ID_DTYPE, Atom, FiltrationModel
@@ -34,7 +35,7 @@ from comolift.io import (
     write_law_csv,
     write_samples_csv,
 )
-from comolift.lifting import LiftedLaw, LiftSlices, lift, sample_chunks, sample_lift
+from comolift.lifting import LiftedLaw, lift, sample_chunks, sample_lift
 from comolift.verification import verify_model
 
 
@@ -628,8 +629,8 @@ def test_plain_rows_that_trade_a_field_are_refused(tmp_path):
         ingest_atoms(p)
 
 
-@pytest.mark.parametrize("end", ["\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029",
-                                 "quote"], ids=["crlf", "cr", "vt", "ff", "fs", "gs", "rs", "nel", "ls", "ps", "quote"])
+@pytest.mark.parametrize("end", ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", "quote"],
+                         ids=["cr", "vt", "ff", "fs", "gs", "rs", "nel", "ls", "ps", "quote"])
 def test_text_that_is_not_plain_is_read_by_the_row_loop_alike(tmp_path, monkeypatch, end):
     rows = ["atom_id,lambda,u1,v1,u2,v2", "a,0.25,-4,-3,4,3", "b,1,-2,-1,-2,-1"]
     plain, other = tmp_path / "plain.csv", tmp_path / "other.csv"
@@ -643,6 +644,20 @@ def test_text_that_is_not_plain_is_read_by_the_row_loop_alike(tmp_path, monkeypa
     assert not calls
     assert _table_bytes(read_law_csv(other)) == want
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("block", [1, 2, 7, comolift_io._READ_BYTES])
+def test_crlf_text_is_read_in_blocks_alike(tmp_path, monkeypatch, block):
+    # Every block ends after a "\n", so no "\r\n" is cut, and a "\r\n" reads as "\n".
+    rows = ["atom_id,lambda,u1,v1,u2,v2", "a,0.25,-4,-3,4,3", "b,1,-2,-1,-2,-1"]
+    plain, crlf = tmp_path / "plain.csv", tmp_path / "crlf.csv"
+    plain.write_bytes("".join(row + "\n" for row in rows).encode())
+    crlf.write_bytes("".join(row + "\r\n" for row in rows).encode())
+    calls, read_rows = [], comolift_io._read_rows
+    monkeypatch.setattr(comolift_io, "_read_rows", lambda *args: calls.append(args) or read_rows(*args))
+    monkeypatch.setattr(comolift_io, "_READ_BYTES", block)
+    assert _table_bytes(read_law_csv(crlf)) == _table_bytes(read_law_csv(plain))
+    assert not calls
 
 
 @pytest.mark.parametrize("change", ["grown", "shrunk"])
@@ -813,21 +828,15 @@ def _whole_law_refusal(law):
 @given(laws=st.lists(st.lists(st.tuples(st.sampled_from([0.0, 0.4, 0.6, 1.0, math.nan]),
                                         st.sampled_from([-4.0, 0.0, 4.0, math.inf])), min_size=1, max_size=3),
                      min_size=1, max_size=12),
-       rows=st.integers(1, 5), atoms=st.integers(1, 13))
+       rows=st.integers(1, 5))
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_law_writer_refuses_slice_by_slice_as_the_whole_law_did(tmp_path, monkeypatch, laws, rows, atoms):
-    # Checked a write slice at a time, and handed over as consecutive laws of 1
-    # to 12 atoms or as one, a law breaking several rules across slices still
-    # reports the first rule broken anywhere, at its first atom; a law it writes
-    # reads the same whatever the slice sizes.
+def test_law_writer_refuses_slice_by_slice_as_the_whole_law_did(tmp_path, monkeypatch, laws, rows):
+    # Checked a write slice at a time, a law breaking several rules across
+    # slices still reports the first rule broken anywhere, at its first atom;
+    # a law it writes reads the same whatever the slice size.
     owner = np.repeat(np.arange(len(laws)), [len(branches) for branches in laws])
     prob, x = np.array([branch for branches in laws for branch in branches]).T.reshape(2, -1)
     law = LiftedLaw.from_columns([f"a{i}" for i in range(len(laws))], owner, prob, x, x / 2)
-    parts = []
-    for lo in range(0, len(laws), atoms):
-        part = (owner >= lo) & (owner < lo + atoms)
-        parts.append(LiftedLaw.from_columns(law.id_column[lo:lo + atoms], owner[part] - lo, prob[part],
-                                            x[part], x[part] / 2))
     path, whole = tmp_path / "law.csv", tmp_path / "whole.csv"
     path.unlink(missing_ok=True)
     refusal = _whole_law_refusal(law)
@@ -836,11 +845,11 @@ def test_law_writer_refuses_slice_by_slice_as_the_whole_law_did(tmp_path, monkey
     with monkeypatch.context() as patch:
         patch.setattr(comolift_io, "_WRITE_ROWS", rows)
         if refusal is None:
-            write_law_csv(parts, path)
+            write_law_csv(law, path)
             assert path.read_bytes() == whole.read_bytes()
             return
         with pytest.raises(InputFormatError) as refused:
-            write_law_csv(parts, path)
+            write_law_csv(law, path)
     assert str(refused.value) == refusal
     assert not path.exists()
 
@@ -851,18 +860,6 @@ def test_law_writer_refuses_a_law_with_no_atoms(tmp_path):
     with pytest.raises(InputFormatError, match="law has no atoms"):
         write_law_csv(LiftedLaw({}), path)
     assert not path.exists()
-
-
-def test_law_writer_refuses_slices_it_cannot_walk_twice(tmp_path):
-    # It checks every slice before it opens the file, then walks them again to
-    # write: an iterator would be spent, and would leave a file with no rows.
-    path = tmp_path / "law.csv"
-    slices = LiftSlices(FiltrationModel.from_columns(["a", "b"], [0.5, 0.5], [0.0, 8.0], [0.0, 8.0]))
-    with pytest.raises(TypeError, match="not an iterator"):
-        write_law_csv(iter(slices), path)
-    assert not path.exists()
-    write_law_csv(slices, path)
-    assert path.read_text() == "atom_id,lambda,u1,v1,u2,v2\na,0.5,-4,-3,4,3\nb,0,8,8,8,8\n"
 
 
 def test_law_writer_refuses_a_value_that_is_not_finite(tmp_path):
@@ -986,26 +983,31 @@ def test_ingest_atoms_holds_less_than_the_file_it_reads(tmp_path):
     # of floats: no list of every line, every value or every id, and no copy of a
     # column.  The 6.58 MB file peaks at 5.46 MB (0.83x); with a (rows, 3) table
     # that the model copied column by column it peaked at 8.62 MB (1.31x), and
-    # with 256 KiB blocks and a whole-column fsum at 11.54 MB (1.75x).
+    # with 256 KiB blocks and a whole-column fsum at 11.54 MB (1.75x).  Its CRLF
+    # twin (6.68 MB) is read in blocks too, at 5.45 MB (0.82x); the row loop,
+    # which holds every line, peaked on it at 35.35 MB (5.30x).
     n = 100_000
     rng = np.random.default_rng(7)
     w = rng.uniform(0.5, 1.5, n)
     w /= math.fsum(w.tolist())
     f, g = rng.normal(0.0, 1e3, n), rng.normal(0.0, 1e3, n)
     p = tmp_path / "atoms.csv"
-    p.write_text("atom_id,weight,f,g\n" + "".join(
-        f"a7x{i},{a!r},{b!r},{c!r}\n" for i, (a, b, c) in enumerate(zip(w.tolist(), f.tolist(), g.tolist()))))
-    size = p.stat().st_size
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        m = ingest_atoms(p)
-        held, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(m) == n
-    assert peak - base <= 1.0 * size, (peak - base) / size
-    assert held - base <= 1.0 * size, (held - base) / size
+    for end in ("\n", "\r\n"):
+        p.write_bytes(("atom_id,weight,f,g" + end + "".join(
+            f"a7x{i},{a!r},{b!r},{c!r}{end}" for i, (a, b, c) in enumerate(zip(w.tolist(), f.tolist(), g.tolist())))
+        ).encode())
+        size = p.stat().st_size
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            m = ingest_atoms(p)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(m) == n
+        assert peak - base <= 1.0 * size, (end, (peak - base) / size)
+        assert held - base <= 1.0 * size, (end, (held - base) / size)
+        del m
 
 
 def test_ingest_atoms_proves_the_ids_unique_once(tmp_path, monkeypatch):
@@ -1024,11 +1026,27 @@ def test_ingest_atoms_proves_the_ids_unique_once(tmp_path, monkeypatch):
     p = tmp_path / "atoms.csv"
     p.write_text("atom_id,weight,f,g\na,0.25,0,0\nb,0.75,1,1\n")
     model = ingest_atoms(p)
-    p.write_text("atom_id,weight,f,g\r\na,0.25,0,0\r\nb,0.75,1,1\r\n")  # not plain: the row loop reads it
+    p.write_bytes(b"atom_id,weight,f,g\ra,0.25,0,0\rb,0.75,1,1\r")  # not plain: the row loop reads it
     assert ingest_atoms(p).id_column.tolist() == ["a", "b"]
     assert sorted_ids == []
     FiltrationModel.from_columns(model.id_column, model.weights(), model.f, model.g)
     assert sorted_ids == [2]
+
+
+def test_ingest_atoms_sums_the_weights_once(tmp_path, monkeypatch):
+    # The reader divides the weights by their fsum, so the model it builds does not sum them again.
+    sums, fsum_column = [], comolift_io.fsum_column
+
+    def spy(values):
+        sums.append(values.size)
+        return fsum_column(values)
+
+    monkeypatch.setattr(comolift_io, "fsum_column", spy)
+    monkeypatch.setattr(filtration, "fsum_column", spy)
+    p = tmp_path / "atoms.csv"
+    p.write_text("atom_id,weight,f,g\na,0.25,0,0\nb,0.75,1,1\n")
+    assert ingest_atoms(p).weights().tolist() == [0.25, 0.75]
+    assert sums == [2]
 
 
 def _oracle_require_good_ids(ids):

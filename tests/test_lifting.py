@@ -23,6 +23,7 @@ from comolift.lifting import (
     LiftedLaw,
     align_law,
     lift,
+    lift_rows,
     lifted_norm_bound,
     sample_chunks,
     sample_lift,
@@ -348,6 +349,18 @@ def test_sliced_lift_agrees_with_the_whole_column_oracle(monkeypatch, payoffs, s
     n = len(payoffs)
     model = FiltrationModel.from_columns([f"m{i}" for i in range(n)], [1.0 / n] * n, x, y)
     assert _lift_outcome(lift, model) == _lift_outcome(_whole_column_lift, model)
+
+
+def test_lift_rows_refuses_an_over_cap_atom_in_the_last_slice_on_the_call(monkeypatch):
+    # The rows are made lazily, a slice at a time, but the cap is checked on the call:
+    # a writer that opens its file after the call never meets the fault midway.
+    monkeypatch.setattr(lifting, "_LIFT_SLICE", 2)
+    decomposed = []
+    monkeypatch.setattr(lifting, "decompose_batch", lambda x, y: decomposed.append(x) or decompose_batch(x, y))
+    model = FiltrationModel.from_columns(list("abcde"), [0.2] * 5, [0.0, 1.0, 2.0, 3.0, 1e308], [0.0] * 5)
+    with pytest.raises(InvalidInputError, match=r"^atom 'e': gauge 7.5e\+307 exceeds the stage cap 2\^1019$"):
+        lift_rows(model)
+    assert [x.tolist() for x in decomposed] == [[1e308]]
 
 
 @pytest.mark.parametrize("collapsed", [0, 1, 100_000], ids=["no-atom-collapsed", "one-collapsed", "all-collapsed"])

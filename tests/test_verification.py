@@ -366,6 +366,14 @@ def test_verify_fails_anti_monotone_support():
     assert not row(rep, "comonotone_witness").passed
 
 
+def test_verify_fails_norm_bound_on_a_point_whose_skew_overflows():
+    # The point's gauge is inf: the norm row fails it, with no RuntimeWarning.
+    law = LiftedLaw({"m0": ((0.5, Point2(-1.7e308, 1.7e308)), (0.5, Point2(4.0, 3.0)))})
+    rep = verify_model(model_of([(1.0, 1.0)]), law)
+    assert not row(rep, "norm_bound").passed
+    assert row(rep, "norm_bound").statistic == -math.inf
+
+
 def test_verify_fails_norm_bound():
     m = model_of([(0.0, 0.0)])
     law = lift(m)
