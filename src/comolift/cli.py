@@ -2,7 +2,8 @@
 
 Subcommands: curve, decompose, lift, sample, verify, demo.  Exit codes are
 part of the contract: 0 success, 1 verification failed, 2 usage error
-(argparse's own), 3 unreadable or malformed input.
+(argparse's own), 3 unreadable or malformed input, an output that cannot be
+written, or a run that does not fit in memory.
 
 A flag left out is absent from the parsed namespace, so each default is
 defined once, as a ``RunConfig`` field.  ``curve`` and ``decompose`` stand
@@ -167,8 +168,8 @@ def main(argv: list[str] | None = None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return run(config)
-    except (ComoliftError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ComoliftError, OSError, MemoryError) as exc:  # MemoryError: a run too large for memory, such as verify --samples 1e11
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 3
 
 

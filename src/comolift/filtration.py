@@ -24,7 +24,8 @@ Two families of events matter downstream:
 whose conditional probability is strictly between zero and the original on
 every atom that had positive probability.  :func:`draw_atoms` draws (atom,
 u) pairs from the product measure through the counter-based word stream, so
-sample i is a pure function of (seed, i).
+sample i is a pure function of (seed, i), and finds each atom through the
+weights' running sum and its :func:`atom_guide`.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ __all__ = [
     "u_le_h_event",
     "atomless_split",
     "weight_cum",
+    "atom_guide",
     "draw_atoms",
     "sample_u_arrays",
     "frozen_array",
@@ -68,6 +70,9 @@ ID_DTYPE = np.dtypes.StringDType(coerce=False)
 
 #: Values :func:`fsum_column` turns into Python floats at a time; the sum does not depend on it.
 _SUM_SLICE = 4096
+#: Forward steps :func:`draw_atoms` takes from the guide before ``searchsorted``
+#: places the draws still short of their atom; the atoms do not depend on it.
+_GUIDE_WALK = 4
 
 
 @dataclass(frozen=True, slots=True)
@@ -353,19 +358,43 @@ def weight_cum(model: FiltrationModel) -> np.ndarray:
     return cum
 
 
-def draw_atoms(cum: np.ndarray, count: int, seed: int, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
+def atom_guide(cum: np.ndarray) -> np.ndarray:
+    """Chen and Asau's guide table for a :func:`weight_cum`: K = 2^floor(log2 n)
+    buckets, at most one per atom, and bucket b holds the first atom whose
+    ``cum`` passes b/K.  K is a power of two, so b/K and a selector's bucket
+    floor(sel * K) are exact."""
+    k = 1 << (cum.size.bit_length() - 1)
+    return np.searchsorted(cum, np.arange(k) / k, side="right")
+
+
+def draw_atoms(cum: np.ndarray, guide: np.ndarray, count: int, seed: int,
+               start: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Atom indices and uniform draws for samples [start, start+count) of a
-    model whose :func:`weight_cum` is ``cum``.  Sample i takes stream words 2i
-    (sel) and 2i+1 (u), so it is a pure function of (seed, i), and its atom is
-    ``searchsorted(cum, sel, "right")``."""
+    model whose :func:`weight_cum` is ``cum`` and :func:`atom_guide` is
+    ``guide``.  Sample i takes stream words 2i (sel) and 2i+1 (u), so it is a
+    pure function of (seed, i), and its atom is ``searchsorted(cum, sel,
+    "right")``: the guide's atom for sel's bucket, walked forward while
+    ``cum[idx] <= sel``.  The walk reads ``cum`` at most ``1 + _GUIDE_WALK``
+    times per call, and ``searchsorted`` places the draws it leaves, so a heavy
+    atom beside many tiny ones costs no pass per tiny atom."""
     if not isinstance(count, int) or count < 0:
         raise InvalidInputError(f"count must be a nonnegative int, got {count!r}")
     if not isinstance(start, int) or start < 0:
         raise InvalidInputError(f"start must be a nonnegative int, got {start!r}")
     sel, u = uniforms(seed, 2 * start, 2 * count).reshape(count, 2).T
-    return np.searchsorted(cum, sel, side="right"), u.copy()  # compact, so the selector half is freed
+    idx = guide[(sel * guide.size).astype(np.intp)]
+    walk = np.flatnonzero(cum[idx] <= sel)
+    for _ in range(_GUIDE_WALK):
+        if not walk.size:
+            break
+        idx[walk] += 1
+        walk = walk[cum[idx[walk]] <= sel[walk]]
+    if walk.size:
+        idx[walk] = np.searchsorted(cum, sel[walk], side="right")
+    return idx, u.copy()  # compact, so the selector half is freed
 
 
 def sample_u_arrays(model: FiltrationModel, count: int, seed: int, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """:func:`draw_atoms` for samples [start, start+count) of ``model``."""
-    return draw_atoms(weight_cum(model), count, seed, start)
+    cum = weight_cum(model)
+    return draw_atoms(cum, atom_guide(cum), count, seed, start)

@@ -49,7 +49,7 @@ import numpy as np
 
 from .decomposition import decompose_batch
 from .errors import InvalidInputError
-from .filtration import FiltrationModel, draw_atoms, frozen_array, id_column, weight_cum
+from .filtration import FiltrationModel, atom_guide, draw_atoms, frozen_array, id_column, weight_cum
 from .geometry import GAUGE_CAP, Point2, gauge_batch
 
 __all__ = [
@@ -285,9 +285,10 @@ def lift(model: FiltrationModel) -> LiftedLaw:
 
 
 def sample_table(model: FiltrationModel, law: LiftedLaw) -> tuple[np.ndarray, ...]:
-    """The sampler's map, built once per run: (threshold, first, last, cum, x, y).
+    """The sampler's map, built once per run: (threshold, first, last, cum, guide, x, y).
 
-    :func:`draw_atoms` finds each draw's atom in ``cum``, the model's :func:`weight_cum`.
+    :func:`draw_atoms` finds each draw's atom in ``cum``, the model's :func:`weight_cum`,
+    through ``guide``, its :func:`atom_guide`.
     The draw emits that atom's branch ``first`` when u <= threshold, else ``last``, in the
     columns ``x`` and ``y`` of ``align_law(model, law)``; a single-branch atom has first == last and threshold 1.
     """
@@ -297,7 +298,8 @@ def sample_table(model: FiltrationModel, law: LiftedLaw) -> tuple[np.ndarray, ..
     if np.any(wide):
         atom_id = model.id_column[int(np.argmax(wide))]
         raise InvalidInputError(f"atom {atom_id!r}: sampling needs 1 or 2 branches")
-    return np.where(first == last, 1.0, law.prob[first]), first, last, weight_cum(model), law.x, law.y
+    cum = weight_cum(model)
+    return np.where(first == last, 1.0, law.prob[first]), first, last, cum, atom_guide(cum), law.x, law.y
 
 
 def sample_branch(table: tuple[np.ndarray, ...], idx: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -308,8 +310,8 @@ def sample_branch(table: tuple[np.ndarray, ...], idx: np.ndarray, u: np.ndarray)
 
 
 def _draw(model: FiltrationModel, table, count: int, seed: int, start: int) -> Samples:
-    idx, u = draw_atoms(table[3], count, seed, start)
-    return Samples(model.id_column, idx, u, sample_branch(table, idx, u), *table[4:], start)
+    idx, u = draw_atoms(*table[3:5], count, seed, start)
+    return Samples(model.id_column, idx, u, sample_branch(table, idx, u), *table[5:], start)
 
 
 def sample_lift_arrays(

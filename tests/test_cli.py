@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from comolift import cli
 from comolift import io as comolift_io
-from comolift import lifting
+from comolift import lifting, rng
 from comolift.cli import RunConfig, main, parse_args, run
 from comolift.decomposition import decompose_batch
 from comolift.errors import InvalidInputError
@@ -283,6 +283,26 @@ def test_output_that_cannot_be_opened_exits_3(tmp_path, capsys, command):
     assert not out.parent.exists()
 
 
+@pytest.mark.parametrize("message", ["Unable to allocate 1.46 TiB for an array with shape (200000000000,)", ""])
+def test_a_run_past_memory_exits_3_with_no_report(tmp_path, capsys, monkeypatch, message):
+    # verify --samples 100000000000 asks the word stream for 1.46 TiB at once; the
+    # stream is patched to refuse, so the test allocates nothing.
+    atoms, law, report = tmp_path / "atoms.csv", tmp_path / "law.csv", tmp_path / "report.csv"
+    write_atoms_csv(random_model(2, seed=1), atoms)
+    assert main(["lift", "--input", str(atoms), "--output", str(law)]) == 0
+    capsys.readouterr()
+
+    def refuse(seed, start, count):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(rng, "raw_words", refuse)
+    argv = ["verify", "--input", str(atoms), "--law", str(law), "--samples", "100000000000", "--output", str(report)]
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {message or 'out of memory'}\n")
+    assert not report.exists()
+
+
 def test_model_law_mismatch_exits_3(tmp_path):
     m1 = random_model(4, seed=1)
     m2 = random_model(5, seed=2)
@@ -318,16 +338,17 @@ from comolift.cli import main
 atoms, law, samples = sys.argv[1:]
 assert main(["lift", "--input", atoms, "--output", law]) == 0
 assert main(["verify", "--input", atoms, "--law", law]) == 0
-assert "numpy.random" not in sys.modules, "lift or verify loaded numpy.random"
+assert main(["verify", "--input", atoms, "--law", law, "--samples", "10"]) == 0
 assert main(["sample", "--input", atoms, "--output", samples, "--samples", "10"]) == 0
-assert "numpy.random" in sys.modules, "sample drew without numpy.random"
+assert "numpy.random" not in sys.modules, "a command loaded numpy.random"
 """
 
 
-def test_commands_that_draw_nothing_leave_numpy_random_unloaded(tmp_path):
-    # numpy.random, and the OpenSSL it loads, add about 6 MB to a process: only
-    # a draw may load it.  pytest and hypothesis may have loaded it here, so the
-    # commands run in a fresh interpreter on this checkout's package.
+def test_commands_leave_numpy_random_unloaded(tmp_path):
+    # numpy.random, and the OpenSSL it loads, add about 6 MB to a process: the
+    # draws come from rng's own Philox kernel, so no command loads it.  pytest
+    # and hypothesis may have loaded it here, so the commands run in a fresh
+    # interpreter on this checkout's package.
     atoms = tmp_path / "atoms.csv"
     write_atoms_csv(random_model(5, seed=3), atoms)
     proc = subprocess.run(

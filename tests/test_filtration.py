@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from comolift import filtration
+from comolift import filtration, rng
 from comolift.errors import InvalidEventError, InvalidInputError
 from comolift.filtration import (
     WEIGHT_SUM_TOL,
@@ -276,6 +277,62 @@ def test_raw_words_pin_the_philox_stream():
         6692778500501327886, 1961065181241252318, 17084198493701737436, 8511904755730521554]
     assert raw_words(2**130 + 5, 3, 4).tolist() == [
         8178605492699859198, 4593217736961924102, 12499342411136185311, 13713093298565872893]
+
+
+def _numpy_philox_words(key, start, count):
+    # The reference: numpy's own Philox, seeked to the block that holds word start.
+    from numpy.random import Philox
+
+    block, offset = divmod(start, 4)
+    return Philox(key=key & (2**128 - 1), counter=block).random_raw(offset + count)[offset:].tolist()
+
+
+_BLOCK_EDGES = [0, 2**32 - 1, 2**63 - 1, 2**63 + 1, 2**64 - 1025, 2**64 - 1, 2**64, 2**64 + 5,
+                2**128 - 1, 2**192 - 1, 2**256 - 2, 2**256 - 1]
+
+
+@given(key=st.integers() | st.integers(-(2**200), 2**200),
+       block=st.integers(0, 2**70) | st.sampled_from(_BLOCK_EDGES),
+       offset=st.integers(0, 3), count=st.integers(0, 70))
+@settings(max_examples=300, deadline=None)
+def test_raw_words_match_numpy_philox(key, block, offset, count):
+    # Any key, reduced to 128 bits, any start and count: the kernel's words are
+    # numpy.random.Philox's, which only this test imports.
+    words = raw_words(key, 4 * block + offset, count)
+    assert words.dtype == np.uint64
+    assert words.tolist() == _numpy_philox_words(key, 4 * block + offset, count)
+
+
+def test_raw_words_carry_the_counter_at_the_top_of_its_low_limb():
+    # A block of 2^63 or more made a float64 counter, rounded or refused past
+    # 2^64; the kernel carries the counter into its next limb, as Philox does.
+    for block in (2**63 + 1, 2**64 - 1025, 2**64 - 1, 2**64 + 5):
+        for key in (7, -3, 2**130 + 9):
+            assert raw_words(key, 4 * block, 12).tolist() == _numpy_philox_words(key, 4 * block, 12)
+    idx, u = sample_u_arrays(two_atom_model(), 6, seed=7, start=2**65 + 3)
+    sel, want = ([(w >> 11) * 2.0 ** -53 for w in _numpy_philox_words(7, 2**66 + 6, 12)[i::2]] for i in (0, 1))
+    assert (idx.tolist(), u.tolist()) == ([int(v >= 0.5) for v in sel], want)
+
+
+def test_raw_words_fill_their_output_a_slice_at_a_time(monkeypatch):
+    # Slices of one to three blocks, across the carry, give the same words.
+    want = _numpy_philox_words(5, 4 * (2**64 - 4) + 1, 40)
+    for blocks in (1, 2, 3):
+        monkeypatch.setattr(rng, "_PHILOX_SLICE", blocks)
+        assert raw_words(5, 4 * (2**64 - 4) + 1, 40).tolist() == want
+
+
+def test_raw_words_holds_its_output_and_one_slice():
+    # The kernel holds its output and a fixed number of blocks: whole-stream
+    # temporaries would hold several times the 16 MB of 2e6 words.
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        words = raw_words(1, 0, 2_000_000)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= words.nbytes + 2**20, ((peak - words.nbytes) / 2**20)
 
 
 def test_rng_validates():

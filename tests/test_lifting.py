@@ -120,8 +120,10 @@ def _map_case(draw):
     """A lifted model whose running weight sum repeats where a tiny weight
     vanishes in its rounding, and a run: its stream words are a seed's, or
     planted, with selectors on the sum's values below 1 and u on the branch
-    probabilities, and both at 0 and at the top of the grid."""
-    raw = draw(st.lists(st.floats(1e-3, 1.0) | st.sampled_from([1e-30, 2.0 ** -80]), min_size=1, max_size=8))
+    probabilities, and both at 0 and at the top of the grid.  Up to 40 atoms,
+    so the guide's 2^floor(log2 n) buckets are n at a power of two and fewer
+    between, and a heavy atom spans many buckets."""
+    raw = draw(st.lists(st.floats(1e-3, 1.0) | st.sampled_from([1e-30, 2.0 ** -80]), min_size=1, max_size=40))
     w = np.array(raw) / math.fsum(raw)
     coords = draw(st.lists(st.tuples(finite_coord, finite_coord), min_size=w.size, max_size=w.size))
     model = FiltrationModel.from_columns([f"a{i}" for i in range(w.size)], w, *zip(*coords))
@@ -162,6 +164,47 @@ def test_draw_path_agrees_with_the_searchsorted_oracle(case):
             assert [c.start for c in run] == list(range(0, max(count, 1), chunk))
             for column, want in (("idx", idx), ("u", u), ("branch", branch)):
                 assert np.concatenate([getattr(c, column) for c in run]).tobytes() == want.tobytes()
+
+
+class _CountedReads(np.ndarray):
+    """A ``cum`` that counts the times it is indexed."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        type(self).reads += 1
+        return np.asarray(self).__getitem__(key)
+
+
+def test_the_guide_walk_is_bounded_beside_a_heavy_atom():
+    # One atom of weight 1 - 1e-9, then 10^4 tiny ones: they all share the guide's
+    # last bucket, so a walk through them would take up to 10^4 passes.  The walk
+    # reads cum at most 1 + _GUIDE_WALK times per call and searchsorted places the
+    # rest; the atoms equal searchsorted's own, planted among the tiny atoms or not.
+    n = 10_001
+    w = np.full(n, 1e-13)
+    w[0] = 1.0 - 1e-9
+    model = FiltrationModel.from_columns([f"a{i}" for i in range(n)], w / math.fsum(w.tolist()),
+                                         np.zeros(n), np.zeros(n))
+    cum = filtration.weight_cum(model)
+    guide = filtration.atom_guide(cum)
+    assert guide.size == 8192 and np.all(guide == 0)  # every bucket starts at the heavy atom
+    spy = cum.view(_CountedReads)
+    tiny = cum[(cum > cum[0]) & (cum < 1.0)][::40]  # selectors on the tiny atoms' sums, each below 1
+    sels = [tiny, np.concatenate([tiny, np.nextafter(tiny, 0.0), [0.0, 0.5, cum[0], _TOP_GRID]]), None]
+    for sel in sels:
+        with pytest.MonkeyPatch.context() as patch:
+            if sel is None:
+                count = 1000
+            else:
+                count = sel.size
+                words = np.column_stack([sel, np.full(count, 0.5)]).reshape(-1)
+                patch.setattr(filtration, "uniforms", lambda _, start, k: words[start:start + k])
+            sel = filtration.uniforms(4, 0, 2 * count)[0::2]
+            _CountedReads.reads = 0
+            idx, _ = filtration.draw_atoms(spy, guide, count, 4)
+            assert 1 <= _CountedReads.reads <= 1 + filtration._GUIDE_WALK
+            assert idx.tobytes() == np.searchsorted(cum, sel, "right").tobytes()
 
 
 def test_one_weight_cum_per_run(monkeypatch):
