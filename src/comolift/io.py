@@ -39,8 +39,14 @@ writes ``lift``'s rows as :func:`~comolift.lifting.lift_rows` makes them.
 
 The writer takes plain columns, formatted cell by cell, and coded columns:
 an object array of cells and one code per row, so a value that repeats is
-formatted once and a slice's cells are one gather.  A sample row's atom id
-is coded by its atom index, and its xi,eta pair by its law branch: each
+formatted once and a slice's cells are one gather.  A float column's slice
+is formatted three ways: integral and infinite values once per distinct
+value, values in [2^-13, 1) by one numpy kernel that computes their ``repr``
+exactly in integers and makes their cells from one ASCII buffer, and the rest
+by ``repr``.  A coded cell carries the separators on both sides of it.  A
+sample row's atom id is coded by its atom index, as ``,id,``, and its xi,eta
+pair by its law branch, as ``,x,y`` and the line end, so the row is four
+items with its draw index and u: each
 branch point is formatted at most once per run, in the chunk whose draws
 first emit it, and kept until the run ends.  Samples may arrive in chunks:
 the writer opens its file once and streams every chunk into it, so no more
@@ -334,14 +340,135 @@ class _Coded(NamedTuple):
     codes: np.ndarray
 
 
+# The unit kernel's tables, by the binade [2^(e-1), 2^e) of x, e = -12..0: D, the fewest
+# digits after the point with 10^-D at most a quarter ulp of x, and r, with
+# x * 10^D = M * 5^D / 2^r for x's 53-bit integer M.  The domain starts at 2^-13, above
+# 1e-4, where repr turns to exponent notation.
+_UNIT_MIN = 2.0 ** -13
+_UNIT_DIGITS = np.array([len(str(1 << (55 - e))) for e in range(-12, 1)])
+_UNIT_SHIFT = np.array([53 - e - d for e, d in zip(range(-12, 1), _UNIT_DIGITS.tolist())])
+_UNIT_FIVE = np.array([5 ** d for d in _UNIT_DIGITS.tolist()], dtype=np.uint64)
+_POW10 = 10 ** np.arange(19, dtype=np.int64)
+_LO32 = np.uint64(0xFFFFFFFF)
+#: The digits of 0..9999 as four bytes 0..9, the first in the low byte.
+_DIGITS4 = sum(np.arange(10_000, dtype=np.uint64) // np.uint64(10 ** (3 - k)) % np.uint64(10) << np.uint64(8 * k)
+               for k in range(4))
+#: Row k of the table is word k of a cell's 24 bytes, as little-endian words, for each
+#: count W of its digits, before they are added in: the "\n" that ends the cell before
+#: it, NULs, "0." and W "0"s.  The digit of 10^j goes in byte 23 - j.
+_UNIT_ROWS = np.frombuffer(b"".join(b"\n" + b"\0" * (21 - w) + b"0." + b"0" * w for w in range(22)),
+                           dtype="<u8").astype(np.uint64).reshape(22, 3).T.copy()
+
+
+def _unit_cells(values: np.ndarray) -> list[str]:
+    """``repr`` of each float64 value in [2^-13, 1), computed exactly in integers.
+
+    This is the interval method of Steele and White and of Gay (1990), as Adams'
+    Ryu (2018) runs it on machine words.  With x = M * 2^(e-53), v = x * 10^D is
+    M * 5^D / 2^r, made from a 128-bit product of 32-bit limbs.  The doubles that
+    round to x are those within a half ulp of it, 5^D / 2^(r+1) in units of v.  The
+    ends of that interval are odd multiples of 2^(e-54), no decimal of D digits, so
+    whether they belong to it never matters.  The cell is the multiple of 10^p
+    nearest v, ties to even, for the largest p with a multiple inside; it lies
+    inside, for the interval is symmetric but at a power of two, whose lower half
+    is half as wide, and a power of two 2^-k here is its own shortest decimal, k
+    digits that no decimal of fewer comes near.  It reads "0." and its D - p
+    digits, and one ASCII buffer with NUL padding makes the slice's cells."""
+    bits = values.view(np.uint64)
+    binade = (bits >> np.uint64(52)).view(np.int64)
+    binade -= 1010
+    five, r = _UNIT_FIVE[binade], _UNIT_SHIFT[binade]
+    # (hi, lo) = M * 5^D from 32-bit limbs: each partial product, and each sum, fits in 64 bits.
+    hi = bits & np.uint64((1 << 52) - 1)
+    hi |= np.uint64(1 << 52)
+    five_lo, five_hi = five & _LO32, five >> np.uint64(32)
+    lo = hi & _LO32
+    mid = lo * five_hi
+    lo *= five_lo
+    hi >>= np.uint64(32)
+    mid += hi * five_lo
+    hi *= five_hi
+    hi += mid >> np.uint64(32)
+    mid <<= np.uint64(32)
+    lo += mid
+    hi += lo < mid
+    del mid, five_lo, five_hi
+    # v = q + t / 2^(r+1), with 0 <= t < 2^(r+1) even.
+    shift = r.astype(np.uint64)
+    q = hi << (np.uint64(64) - shift)
+    q |= lo >> shift
+    q = q.view(np.int64)
+    lo &= (np.uint64(1) << shift) - np.uint64(1)
+    t = lo.view(np.int64)
+    t <<= 1
+    del hi, lo, shift
+    # The floors of the ends, v -+ 5^D / 2^(r+1), and the largest p with a multiple of
+    # 10^p between them: the count of powers of ten from 10 on at which they part.
+    five = five.view(np.int64)
+    high, low, ends = t + five, t - five, r + 1
+    high >>= ends
+    low >>= ends
+    high += q
+    low += q
+    del five, ends
+    p = np.zeros(values.size, dtype=np.intp)
+    high //= 10
+    low //= 10
+    while (more := high > low).any():
+        p += more
+        high //= 10
+        low //= 10
+    del high, low, more
+    # The multiple of 10^p nearest v, ties to even: twice v mod 10^p against 10^p.
+    tens = _POW10[p]
+    rest = q
+    q = rest // tens
+    rest -= q * tens
+    rest <<= 1
+    rest += t >> r
+    q += (rest > tens) | ((rest == tens) & (((t & ((1 << r) - 1)) != 0) | (q & 1 == 1)))
+    del rest, tens, t, r
+    # q's 18 digits in three words: its top 2 digits, then two of 8, 4 digits a table entry.
+    w = _UNIT_DIGITS[binade] - p
+    del binade, p
+    top = q // 10 ** 8
+    q -= top * 10 ** 8
+    low8 = np.stack([top, q])
+    top //= 10 ** 8
+    low8[0] -= top * 10 ** 8
+    high4 = low8 // 10_000
+    low8 -= high4 * 10_000
+    words = np.empty((values.size, 3), dtype="<u8")
+    np.left_shift(_DIGITS4[top], np.uint64(32), out=words[:, 0])
+    for k in (1, 2):
+        np.left_shift(_DIGITS4[low8[k - 1]], np.uint64(32), out=words[:, k])
+        words[:, k] |= _DIGITS4[high4[k - 1]]
+    del top, q, low8, high4
+    for k in range(3):
+        words[:, k] |= _UNIT_ROWS[k][w]
+    del w
+    text = words.tobytes().translate(None, b"\0").decode("ascii")
+    del words
+    cells = text.split("\n")
+    del cells[0]
+    return cells
+
+
 def _float_cells(values: np.ndarray) -> list[str]:
-    """:func:`format_float` of each float64 value: ``repr``, but where a value is
-    integral or infinite, formatted once per distinct value (+-0 both as ``0``)."""
+    """:func:`format_float` of each float64 value, by one of three formatters:
+    :func:`_unit_cells` where a value is in [2^-13, 1), as every ``u`` but those
+    below 2^-13 is; ``repr`` where it is not integral or infinite; and
+    :func:`format_float` once per distinct value where it is (+-0 both as ``0``)."""
+    unit = (values >= _UNIT_MIN) & (values < 1.0)
+    if unit.all():
+        return _unit_cells(values)
     whole = values == np.trunc(values)
-    if not whole.any():
+    rest = ~(unit | whole)
+    if rest.all():
         return list(map(repr, values.tolist()))
     cells = np.empty(values.size, dtype=object)
-    cells[~whole] = list(map(repr, values[~whole].tolist()))
+    cells[unit] = _unit_cells(values[unit])
+    cells[rest] = list(map(repr, values[rest].tolist()))
     distinct, code = np.unique(values[whole], return_inverse=True)
     cells[whole] = np.array(list(map(format_float, distinct.tolist())), dtype=object)[code]
     return cells.tolist()
@@ -361,20 +488,28 @@ def _write_csv(path: str | Path, header: list[str], tables: Iterable[Sequence[Se
     table in turn.  Row k of a table holds item k of each of its columns, a
     float array's through :func:`format_float`, a coded column's cell, any
     other's through ``str``.  The first column, which sets the row count, is
-    not coded.  Each slice of rows is one join over its cells, laid out
-    between their ``,`` and ``\n`` separators."""
+    not coded, and no two coded columns are next to each other.  Each slice of
+    rows is one join over its cells, laid out between their ``,`` and ``\n``
+    separators, but for a coded cell, which carries the separators on both sides
+    of it, so that a samples row is four items."""
     with _open_out(path) as fh:
         fh.write(",".join(header) + "\n")
         for columns in tables:
-            k, rows = len(columns), len(columns[0])
-            # Cell j of a row sits at 2j, the separator after it at 2j + 1.
-            line = [","] * (2 * k)
-            line[-1] = "\n"
+            rows, coded = len(columns[0]), [isinstance(column, _Coded) for column in columns]
+            # One row's items: each column's cell, and a separator wherever neither cell beside it is coded.
+            line, at = [], []
+            for j in range(len(columns)):
+                if j and not (coded[j - 1] or coded[j]):
+                    line.append(",")
+                at.append(len(line))
+                line.append("")
+            if not coded[-1]:
+                line.append("\n")
             for lo in range(0, rows, _WRITE_ROWS):
                 hi = min(lo + _WRITE_ROWS, rows)
                 text = line * (hi - lo)
                 for j, column in enumerate(columns):
-                    text[2 * j::2 * k] = _cells(column, lo, hi)
+                    text[at[j]::len(line)] = _cells(column, lo, hi)
                 fh.write("".join(text))
 
 
@@ -454,13 +589,16 @@ def write_samples_csv(samples: Samples | Iterable[Samples], path: str | Path) ->
     rest of the run: each chunk formats the branches it draws first, found
     by one bool scatter over the branches, as one float slice per
     coordinate.  A run formats and keeps no more points than the distinct
-    branches it draws, which pays off when draws repeat branches.
+    branches it draws, which pays off when draws repeat branches.  The id
+    and point cells carry their separators, so a row is four items: the
+    draw index, ``,id,``, u, whose slice the unit kernel of
+    :func:`_float_cells` formats, and ``,x,y`` with the line end.
     """
     chunks = iter((samples,) if isinstance(samples, Samples) else samples)
     head = next(chunks)
     _require_good_ids(head.ids)
-    ids = head.ids.astype(object)  # atom i's id cell
-    points = np.empty(head.x.size, dtype=object)  # branch b's "x,y" cell, once a draw has emitted b
+    ids = np.strings.add(np.strings.add(",", head.ids), ",").astype(object)  # atom i's ",id," cell
+    points = np.empty(head.x.size, dtype=object)  # branch b's ",x,y\n" cell, once a draw has emitted b
     pending = np.ones(head.x.size, dtype=bool)
     chunks = chain((head,), chunks)
     del head
@@ -471,7 +609,7 @@ def write_samples_csv(samples: Samples | Iterable[Samples], path: str | Path) ->
             hit[s.branch] = True
             new = np.flatnonzero(hit & pending)
             pending[new] = False
-            points[new] = list(map("{},{}".format, _float_cells(s.x[new]), _float_cells(s.y[new])))
+            points[new] = list(map(",{},{}\n".format, _float_cells(s.x[new]), _float_cells(s.y[new])))
             yield range(s.start, s.start + len(s)), _Coded(ids, s.idx), s.u, _Coded(points, s.branch)
 
     _write_csv(path, _SAMPLES_HEADER, tables())

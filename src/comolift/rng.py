@@ -96,6 +96,10 @@ def raw_words(seed: int, start: int, count: int) -> np.ndarray:
 
 
 def uniforms(seed: int, start: int, count: int) -> np.ndarray:
-    """Uniform [0, 1) doubles derived from :func:`raw_words`."""
+    """Uniform [0, 1) doubles derived from :func:`raw_words`, holding the words
+    and the doubles at most: both steps after the cast run in place."""
     words = raw_words(seed, start, count)
-    return (words >> np.uint64(11)).astype(np.float64) * _U53
+    words >>= np.uint64(11)
+    u = words.astype(np.float64)
+    u *= _U53
+    return u

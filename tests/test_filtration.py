@@ -335,6 +335,20 @@ def test_raw_words_holds_its_output_and_one_slice():
     assert peak <= words.nbytes + 2**20, ((peak - words.nbytes) / 2**20)
 
 
+def test_uniforms_holds_twice_its_output():
+    # The words are shifted and the doubles scaled in place, so uniforms holds its
+    # words and its doubles; a shifted copy of the words held 3x its output.
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        u = uniforms(1, 0, 2_000_000)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * u.nbytes + 2**20, peak / u.nbytes
+    assert np.array_equal(u, (raw_words(1, 0, 2_000_000) >> np.uint64(11)).astype(np.float64) * 2.0 ** -53)
+
+
 def test_rng_validates():
     with pytest.raises(InvalidInputError):
         raw_words(1, -1, 4)

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from law_pairs import law_from_pairs
 
-from comolift import filtration
+from comolift import filtration, rng
 from comolift import io as comolift_io
 from comolift.errors import InputFormatError
 from comolift.filtration import ID_DTYPE, Atom, FiltrationModel
@@ -876,18 +876,88 @@ _SLICE_EDGES = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 2.225
                 2.0 ** 53, 2.0 ** 53 + 2, 1e16, 1e22, -1e16, 0.5, -2.5, 1.7976931348623157e308]
 
 
-@given(values=st.lists(st.floats(), max_size=50))
+#: Any float, or one in [2^-13, 1), where the float-slice formatter runs its unit kernel.
+_slice_float = st.one_of(st.floats(), st.floats(2.0 ** -13, 1.0, exclude_max=True))
+
+
+@given(values=st.lists(_slice_float, max_size=50))
 @example(values=_SLICE_EDGES)
+@example(values=[0.5, 2.0 ** -13, 0.1, 1e-4, 0.75, 1.0, -0.25])
 def test_float_slice_cells_equal_format_float(values):
     assert comolift_io._float_cells(np.array(values, dtype=np.float64)) == list(map(format_float, values))
 
 
+def _powers_of_two_and_neighbours():
+    """Each power of two from 2^-14 to 1 and its three neighbours on each side."""
+    k = np.arange(-3, 4)
+    return (2.0 ** np.arange(-14, 1)[:, None] * (1.0 + k * np.where(k < 0, 2.0 ** -53, 2.0 ** -52))).ravel()
+
+
+#: Fixed families of floats in and around the unit kernel's domain [2^-13, 1).
+_UNIT_FAMILIES = {
+    "uniforms": lambda: rng.uniforms(2026, 0, 2_000_000),
+    "powers of two": _powers_of_two_and_neighbours,
+    # j * 2^-m for m <= 20: for each m its odd j alone, so every value once.
+    "dyadic ties": lambda: np.concatenate([np.arange(1, 2 ** m, 2) / 2.0 ** m for m in range(1, 21)]),
+    "0.1 to 0.199999": lambda: (100_000 + np.arange(100_000)) / 1e6,
+    "edges": lambda: np.array([2.0 ** -13, np.nextafter(2.0 ** -13, 0.0), 1e-4, np.nextafter(1.0, 0.0), 0.0, -0.0]),
+}
+
+
+@pytest.mark.parametrize("family", _UNIT_FAMILIES)
+def test_unit_cells_equal_repr_on_fixed_families(family):
+    values = _UNIT_FAMILIES[family]()
+    unit = values[(values >= 2.0 ** -13) & (values < 1.0)]
+    assert unit.size
+    step = comolift_io._WRITE_ROWS
+    got = [cell for lo in range(0, unit.size, step) for cell in comolift_io._unit_cells(unit[lo:lo + step])]
+    want = list(map(repr, unit.tolist()))
+    assert len(got) == len(want)
+    assert [(v, g, w) for v, g, w in zip(unit.tolist(), got, want) if g != w] == []
+    if family == "edges":  # they take every branch of the slice formatter
+        assert comolift_io._float_cells(values) == list(map(format_float, values.tolist()))
+
+
+@given(values=st.lists(st.floats(2.0 ** -13, 1.0, exclude_max=True), min_size=1, max_size=50))
+def test_unit_cells_equal_repr(values):
+    assert comolift_io._unit_cells(np.array(values)) == list(map(repr, values))
+
+
+def test_unit_cells_break_a_tie_to_even():
+    # 65537 / 2^17 is 0.50000762939453125 exactly, midway between two 16-digit decimals
+    # that both read back as it: repr takes the even one.
+    x = 65537 / 131072
+    assert float("0.5000076293945312") == float("0.5000076293945313") == x
+    assert repr(x) == "0.5000076293945312"
+    assert comolift_io._unit_cells(np.array([x])) == ["0.5000076293945312"]
+
+
+def test_a_unit_slice_peaks_no_higher_than_its_repr_map():
+    # The unit kernel frees its words and its ASCII buffer before it splits the slice's
+    # text into cells, so one 4096-value slice peaks at about what the repr map does.
+    values = rng.uniforms(7, 0, comolift_io._WRITE_ROWS)
+    values[values < 2.0 ** -13] = 0.5
+
+    def peak(cells):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            cells()
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    kernel, mapped = peak(lambda: comolift_io._float_cells(values)), peak(lambda: list(map(repr, values.tolist())))
+    assert kernel <= 1.02 * mapped, (kernel / 2**20, mapped / 2**20)
+
+
 def _row_join_oracle(header, tables):
     """The table writer's bytes as the old layout gave them: one ``",".join``
-    per row over ``zip`` of the columns' cells, rows joined by ``"\n"``."""
+    per row over ``zip`` of the columns' cells, rows joined by ``"\n"``.  A
+    coded cell carries the separators on both sides of it, which are dropped."""
     def cells(column):
         if isinstance(column, comolift_io._Coded):
-            return [column.cells[code] for code in column.codes.tolist()]
+            return [column.cells[code][1:-1] for code in column.codes.tolist()]
         if isinstance(column, np.ndarray) and column.dtype == np.float64:
             return list(map(format_float, column.tolist()))
         return list(map(str, column.tolist() if isinstance(column, np.ndarray) else column))
@@ -904,25 +974,28 @@ _CELL_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=4)
 
 @st.composite
 def _tables(draw):
-    """1 to 3 tables of 1 to 6 columns: plain, float, id and coded (never first)."""
+    """1 to 3 tables of 1 to 6 columns: plain, float, id and coded (never first,
+    and never next to another coded column, with its separators in its cells)."""
     tables = []
     for _ in range(draw(st.integers(1, 3))):
-        rows = draw(st.integers(0, 20))
+        rows, k = draw(st.integers(0, 20)), draw(st.integers(1, 6))
         columns = []
-        for j in range(draw(st.integers(1, 6))):
-            kind = draw(st.sampled_from(["plain", "range", "float", "id"] + ["coded"] * (j > 0)))
+        for j in range(k):
+            coded = j > 0 and not isinstance(columns[-1], comolift_io._Coded)
+            kind = draw(st.sampled_from(["plain", "range", "float", "id"] + ["coded"] * coded))
             if kind == "plain":
                 columns.append(draw(st.lists(st.one_of(st.integers(), _CELL_TEXT), min_size=rows, max_size=rows)))
             elif kind == "range":
                 start = draw(st.integers(0, 10**12))
                 columns.append(range(start, start + rows))
             elif kind == "float":
-                columns.append(np.array(draw(st.lists(st.floats(), min_size=rows, max_size=rows)), dtype=np.float64))
+                columns.append(np.array(draw(st.lists(_slice_float, min_size=rows, max_size=rows)), dtype=np.float64))
             elif kind == "id":
                 ids = draw(st.lists(_CELL_TEXT, min_size=rows, max_size=rows))
                 columns.append(np.array(ids, dtype=np.dtypes.StringDType()))
             else:
-                cells = draw(st.lists(_CELL_TEXT, min_size=1, max_size=5))
+                end = "\n" if j == k - 1 else ","
+                cells = ["," + cell + end for cell in draw(st.lists(_CELL_TEXT, min_size=1, max_size=5))]
                 codes = draw(st.lists(st.integers(0, len(cells) - 1), min_size=rows, max_size=rows))
                 columns.append(comolift_io._Coded(np.array(cells, dtype=object), np.array(codes, dtype=np.int64)))
         tables.append(tuple(columns))
