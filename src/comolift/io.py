@@ -46,9 +46,9 @@ exactly in integers and makes their cells from one ASCII buffer, and the rest
 by ``repr``.  A coded cell carries the separators on both sides of it.  A
 sample row's atom id is coded by its atom index, as ``,id,``, and its xi,eta
 pair by its law branch, as ``,x,y`` and the line end, so the row is four
-items with its draw index and u: each
-branch point is formatted at most once per run, in the chunk whose draws
-first emit it, and kept until the run ends.  Samples may arrive in chunks:
+items with its draw index and u: each branch point is formatted at most
+once per run, in the chunk whose draws first emit it, and kept until the
+run ends.  Samples may arrive in chunks:
 the writer opens its file once and streams every chunk into it, so no more
 than one chunk of draws is held at a time, the first too once it is
 written, beside the cells of the distinct branches drawn so far (at most
